@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import Sequence
 
 from .rng import RngStream
 
@@ -100,13 +98,3 @@ def step_energy(spec: NodeSpec, aggregate_cpu_in_use: float, dt: float) -> float
         )
     return (spec.p_idle + spec.p_dyn * (aggregate_cpu_in_use / spec.cpu_capacity)) * dt
 
-
-CLUSTER_CSV_COLUMNS = ["id", "tier", "cpu", "mem", "p_idle", "p_dyn"]
-
-
-def cluster_to_csv(nodes: Sequence[NodeSpec], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(CLUSTER_CSV_COLUMNS)
-        for nd in nodes:
-            w.writerow([nd.id, nd.tier, repr(nd.cpu_capacity), repr(nd.mem_capacity), repr(nd.p_idle), repr(nd.p_dyn)])

@@ -3,12 +3,14 @@
 Each node runs its own tiny feedforward actor-critic (hand-written numpy
 forward and backward passes), decisions combine the learned policy with
 priority/urgency and load heuristics, and learning uses TD-error-prioritized
-replay with plain gradient steps and a decaying learning rate.
+replay with plain gradient steps and a decaying learning rate. The agent
+population is held as one set of stacked arrays, so a step builds every
+observation and runs every agent's forward pass in one call each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,6 +61,10 @@ class Hyperparams:
 
 @dataclass
 class AgentParams:
+    """One agent's parameters, or a population's: then every field carries a
+    leading agent axis, e.g. ``W1`` is (n_agents, hidden, obs_dim) and ``bv``
+    is (n_agents,)."""
+
     W1: np.ndarray   # (hidden, obs_dim)
     b1: np.ndarray   # (hidden,)
     W2: np.ndarray   # (n_actions, hidden)
@@ -69,7 +75,16 @@ class AgentParams:
 
     @property
     def n_params(self) -> int:
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size + self.Wv.size + 1
+        return self.W1.size + self.b1.size + self.W2.size + self.b2.size + self.Wv.size + np.size(self.bv)
+
+    def agent(self, i: int) -> "AgentParams":
+        """Agent i of a population, as views: updating them updates the population."""
+        return AgentParams(*(getattr(self, f.name)[i, ...] for f in fields(self)))
+
+
+def stack_agents(agents: Sequence[AgentParams]) -> AgentParams:
+    """The population of ``agents``, agent i at index i of every array."""
+    return AgentParams(*(np.stack([getattr(a, f.name) for a in agents]) for f in fields(AgentParams)))
 
 
 def expected_param_count(obs_dim: int, hidden: int, n_actions: int) -> int:
@@ -95,17 +110,24 @@ def init_agent(s: RngStream, h: Hyperparams) -> AgentParams:
 
 
 def forward(params: AgentParams, obs: np.ndarray):
-    """Policy distribution, value estimate and the hidden activation cache."""
+    """Policy distribution, value estimate and the hidden activation cache.
+
+    For a population, ``obs`` holds one row per agent and every output gains
+    the agent axis. Each matrix-vector product is written as a stack of
+    ``(W @ x[..., None])[..., 0]``, which gives every agent the same bits as
+    its own ``W @ x``.
+    """
     obs = np.asarray(obs, dtype=float)
-    if obs.shape != (params.W1.shape[1],):
-        raise ValueError(f"observation length {obs.shape} != {params.W1.shape[1]}")
-    hidden = np.maximum(params.W1 @ obs + params.b1, 0.0)
-    logits = params.W2 @ hidden + params.b2
-    logits = logits - logits.max()
+    expected = params.W1.shape[:-2] + params.W1.shape[-1:]
+    if obs.shape != expected:
+        raise ValueError(f"observation shape {obs.shape} != {expected}")
+    hidden = np.maximum((params.W1 @ obs[..., None])[..., 0] + params.b1, 0.0)
+    logits = (params.W2 @ hidden[..., None])[..., 0] + params.b2
+    logits = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(logits)
-    policy = exp / exp.sum()
-    value = float(params.Wv @ hidden + params.bv)
-    if not (np.all(np.isfinite(policy)) and np.isfinite(value)):
+    policy = exp / exp.sum(axis=-1, keepdims=True)
+    value = (params.Wv[..., None, :] @ hidden[..., None])[..., 0, 0] + params.bv
+    if not (np.all(np.isfinite(policy)) and np.all(np.isfinite(value))):
         raise FloatingPointError("non-finite network output")
     return policy, value, hidden
 
@@ -218,13 +240,17 @@ def td_error(params: AgentParams, tr: Transition, gamma: float) -> float:
 
 
 class ReplayBuffer:
-    """Ring buffer with TD-error-proportional sampling (exponent 0.6)."""
+    """Ring buffer with TD-error-proportional sampling (exponent 0.6).
+
+    Priorities are kept beside the transitions in a float array, slot for slot.
+    """
 
     def __init__(self, capacity: int, per_epsilon: float, per_exponent: float):
         self.capacity = capacity
         self.per_epsilon = per_epsilon
         self.per_exponent = per_exponent
         self._items: list[Transition] = []
+        self._priorities = np.zeros(capacity)
         self._next = 0
 
     def __len__(self):
@@ -233,15 +259,18 @@ class ReplayBuffer:
     def add(self, tr: Transition, delta: float) -> None:
         tr.priority = abs(delta) + self.per_epsilon
         if len(self._items) < self.capacity:
+            slot = len(self._items)
             self._items.append(tr)
         else:
-            self._items[self._next] = tr
+            slot = self._next
+            self._items[slot] = tr
             self._next = (self._next + 1) % self.capacity
+        self._priorities[slot] = tr.priority
 
     def sample(self, batch_size: int, s: RngStream) -> list[Transition]:
         if not self._items:
             raise RuntimeError("cannot sample from an empty replay buffer")
-        weights = np.array([t.priority for t in self._items]) ** self.per_exponent
+        weights = self._priorities[: len(self._items)] ** self.per_exponent
         cum = np.cumsum(weights / weights.sum())
         draws = s.uniform_array(batch_size)
         idx = np.minimum(np.searchsorted(cum, draws, side="right"), len(self._items) - 1)
@@ -249,9 +278,12 @@ class ReplayBuffer:
 
 
 def apply_update(params: AgentParams, batch: Sequence[Transition], gamma: float,
-                 grad_clip_norm: float | None = None) -> None:
+                 grad_clip_norm: float | None = None,
+                 lr_decay: float = Hyperparams.lr_decay) -> None:
     """One averaged semi-gradient step: policy ascent on log-prob times
-    advantage, value descent on squared TD error; then decay the rate."""
+    advantage, value descent on squared TD error; then decay the rate by
+    ``lr_decay``. Parameters are updated in place, so ``params`` may be views
+    into a population (``AgentParams.agent``)."""
     if not batch:
         raise ValueError("batch must be nonempty")
     obs = np.stack([t.obs for t in batch])
@@ -299,14 +331,14 @@ def apply_update(params: AgentParams, batch: Sequence[Transition], gamma: float,
             d_w1, d_b1, d_w2, d_b2, d_wv = (g * scale for g in grads)
             d_bv *= scale
 
-    lr = params.current_lr
+    lr = float(params.current_lr)
     params.W1 -= lr * d_w1
     params.b1 -= lr * d_b1
     params.W2 -= lr * d_w2
     params.b2 -= lr * d_b2
     params.Wv -= lr * d_wv
     params.bv -= lr * d_bv
-    params.current_lr = lr * 0.9995
+    params.current_lr *= lr_decay
 
 
 def decay_explore(epsilon: float, h: Hyperparams | None = None) -> float:
@@ -314,18 +346,19 @@ def decay_explore(epsilon: float, h: Hyperparams | None = None) -> float:
     return max(epsilon * h.explore_epsilon_decay, h.explore_epsilon_min)
 
 
-def save_checkpoint(path, agents: Sequence[AgentParams], h: Hyperparams, episode: int) -> None:
-    """All agent matrices plus a shape/lr header, parameter-count validated on load."""
-    np.savez_compressed(
+def save_checkpoint(path, agents: AgentParams, h: Hyperparams, episode: int) -> None:
+    """The population's arrays, uncompressed, plus a shape/episode header;
+    parameter-count validated on load."""
+    np.savez(
         path,
         header=np.array([h.obs_dim, h.hidden, h.n_actions, episode], dtype=np.int64),
-        lrs=np.array([a.current_lr for a in agents]),
-        W1=np.stack([a.W1 for a in agents]),
-        b1=np.stack([a.b1 for a in agents]),
-        W2=np.stack([a.W2 for a in agents]),
-        b2=np.stack([a.b2 for a in agents]),
-        Wv=np.stack([a.Wv for a in agents]),
-        bv=np.array([a.bv for a in agents]),
+        lrs=agents.current_lr,
+        W1=agents.W1,
+        b1=agents.b1,
+        W2=agents.W2,
+        b2=agents.b2,
+        Wv=agents.Wv,
+        bv=agents.bv,
     )
 
 
@@ -361,9 +394,9 @@ class DrlScheduler(Scheduler):
             self.h = replace(self.h, n_actions=n_nodes)
         self.n_nodes = n_nodes
         self.train = train
-        self.agents = [
+        self.agents = stack_agents([
             init_agent(derive_stream(master_seed, f"agent-init-{i}"), self.h) for i in range(n_nodes)
-        ]
+        ])
         self.buffers = [
             ReplayBuffer(self.h.replay_capacity, self.h.per_epsilon, self.h.per_exponent)
             for _ in range(n_nodes)
@@ -380,32 +413,36 @@ class DrlScheduler(Scheduler):
         self._awaiting = []
 
     def _train_eligible(self):
-        for agent, buf in zip(self.agents, self.buffers):
+        for i, buf in enumerate(self.buffers):
             if len(buf) >= self.h.batch_size:
                 batch = buf.sample(self.h.batch_size, self._stream)
-                apply_update(agent, batch, self.h.gamma, self.h.grad_clip_norm)
+                apply_update(self.agents.agent(i), batch, self.h.gamma, self.h.grad_clip_norm,
+                             self.h.lr_decay)
+
+    def _add(self, tr: Transition) -> None:
+        self.buffers[tr.agent_id].add(tr, td_error(self.agents.agent(tr.agent_id), tr, self.h.gamma))
 
     def assign(self, state, pending):
         if self.train:
             self._train_eligible()
         if not pending and not self._awaiting:
             return []
-        observations = [build_observation(state, i) for i in range(self.n_nodes)]
+        # Transitions copy their rows: a row view would keep this step's whole
+        # observation array alive in replay.
+        observations = build_observation(state)
         for tr in self._awaiting:
-            tr.next_obs = observations[tr.agent_id]
-            self.buffers[tr.agent_id].add(tr, td_error(self.agents[tr.agent_id], tr, self.h.gamma))
+            tr.next_obs = observations[tr.agent_id].copy()
+            self._add(tr)
         self._awaiting = []
         if not pending:
             return []
-        self_probs = np.empty(self.n_nodes)
-        for i, agent in enumerate(self.agents):
-            policy, _, _ = forward(agent, observations[i])
-            self_probs[i] = policy[i]
+        policy, _, _ = forward(self.agents, observations)
+        self_probs = policy.diagonal()
         eps = self.explore_epsilon if self.train else 0.0
         decisions = select_assignments(state, pending, self_probs, self._stream, self.h, eps)
         for d in decisions:
             if d.node_id is not None:
-                self._current.append((d.node_id, observations[d.node_id], d.node_id))
+                self._current.append((d.node_id, observations[d.node_id].copy(), d.node_id))
         return decisions
 
     def after_advance(self, state, report):
@@ -421,7 +458,7 @@ class DrlScheduler(Scheduler):
         for tr in self._awaiting:
             tr.next_obs = zero
             tr.terminal = True
-            self.buffers[tr.agent_id].add(tr, td_error(self.agents[tr.agent_id], tr, self.h.gamma))
+            self._add(tr)
         self._awaiting = []
         self._current = []
         if self.train:

@@ -287,44 +287,49 @@ def total_energy(state: SimState) -> float:
     return sum(n.energy_joules for n in state.nodes) / 3.6e6
 
 
-def build_observation(state: SimState, node_id: int) -> np.ndarray:
-    """The 50-dimensional local view of one node agent, all features in [0, 1].
+def build_observation(state: SimState) -> np.ndarray:
+    """The 50-dimensional local views of all node agents, one row per node,
+    all features in [0, 1].
 
     Layout: 0-6 own-node features, 7-9 ring-neighbor utilization aggregates,
     10-49 a window of the 8 oldest pending tasks x 5 features, zero-padded.
+    The window is the same for every agent.
     """
     cfg = state.config
-    node = state.nodes[node_id]
-    obs = np.zeros(cfg.obs_dim)
-    spec = node.spec
-    obs[0] = node.utilization
-    obs[1] = node.mem_in_use / spec.mem_capacity
-    obs[2] = min(len(node.queue), 50) / 50.0
-    obs[3] = spec.cpu_capacity / MAX_CPU_CAPACITY
-    obs[4] = spec.mem_capacity / MAX_MEM_CAPACITY
-    obs[5] = spec.p_idle / MAX_P_IDLE
-    obs[6] = spec.p_dyn / MAX_P_DYN
+    nodes = state.nodes
+    n = len(nodes)
+    obs = np.zeros((n, cfg.obs_dim))
+    util = np.array([node.utilization for node in nodes])
+    obs[:, 0] = util
+    obs[:, 1] = [node.mem_in_use / node.spec.mem_capacity for node in nodes]
+    obs[:, 2] = [min(len(node.queue), 50) / 50.0 for node in nodes]
+    obs[:, 3] = [node.spec.cpu_capacity / MAX_CPU_CAPACITY for node in nodes]
+    obs[:, 4] = [node.spec.mem_capacity / MAX_MEM_CAPACITY for node in nodes]
+    obs[:, 5] = [node.spec.p_idle / MAX_P_IDLE for node in nodes]
+    obs[:, 6] = [node.spec.p_dyn / MAX_P_DYN for node in nodes]
 
-    n = len(state.nodes)
-    half = cfg.neighbor_count // 2
-    neighbor_ids = []
-    for off in range(1, half + 1):
-        neighbor_ids.append((node_id - off) % n)
-        neighbor_ids.append((node_id + off) % n)
-    neighbor_ids = [i for i in dict.fromkeys(neighbor_ids) if i != node_id]
-    if neighbor_ids:
-        nb = np.array([state.nodes[i].utilization for i in neighbor_ids])
-        obs[7] = nb.mean()
-        obs[8] = nb.min()
-        obs[9] = nb.max()
+    # Ring offsets -1, +1, -2, +2, ...; on small rings they repeat or wrap
+    # onto the node itself, so keep the first of each and drop offset 0.
+    offsets = []
+    for off in range(1, cfg.neighbor_count // 2 + 1):
+        offsets += [-off % n, off % n]
+    offsets = [o for o in dict.fromkeys(offsets) if o != 0]
+    if offsets:
+        nb = util[(np.arange(n)[:, None] + offsets) % n]
+        obs[:, 7] = nb.mean(axis=1)
+        obs[:, 8] = nb.min(axis=1)
+        obs[:, 9] = nb.max(axis=1)
 
     now = state.time
-    for k, tid in enumerate(state.pending[: cfg.queue_feature_window]):
+    window = []
+    for tid in state.pending[: cfg.queue_feature_window]:
         t = state.tasks[tid]
-        base = 10 + k * TASK_FEATURES
-        obs[base] = t.cpu / MAX_CPU_CAPACITY
-        obs[base + 1] = t.mem / MAX_MEM_CAPACITY
-        obs[base + 2] = (3 - t.priority) / 3.0
-        obs[base + 3] = (t.deadline - now) / (t.deadline - t.arrival)
-        obs[base + 4] = min(np.log(t.duration / 5.0) / np.log(DURATION_LOG_CEILING), 1.0)
+        window += [
+            t.cpu / MAX_CPU_CAPACITY,
+            t.mem / MAX_MEM_CAPACITY,
+            (3 - t.priority) / 3.0,
+            (t.deadline - now) / (t.deadline - t.arrival),
+            min(np.log(t.duration / 5.0) / np.log(DURATION_LOG_CEILING), 1.0),
+        ]
+    obs[:, 10 : 10 + len(window)] = window
     return np.clip(obs, 0.0, 1.0)

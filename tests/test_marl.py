@@ -21,6 +21,7 @@ from marlsched.marl import (
     priority_score,
     save_checkpoint,
     select_assignments,
+    stack_agents,
     td_error,
 )
 from marlsched.rng import derive_stream
@@ -94,6 +95,53 @@ class TestNetwork:
     def test_wrong_observation_length(self):
         with pytest.raises(ValueError):
             forward(zero_agent(H), np.zeros(49))
+
+    def test_population_forward_equals_per_agent(self):
+        h = Hyperparams(n_actions=7)
+        rng = np.random.default_rng(3)
+        for trial in range(20):
+            agents = [init_agent(derive_stream(trial, f"agent-init-{i}"), h) for i in range(7)]
+            for a in agents:
+                a.b1 = rng.normal(size=h.hidden) * 0.1
+                a.b2 = rng.normal(size=h.n_actions)
+                a.bv = float(rng.normal())
+            obs = rng.random((7, h.obs_dim))
+            policy, value, hidden = forward(stack_agents(agents), obs)
+            assert policy.shape == (7, 7) and value.shape == (7,) and hidden.shape == (7, h.hidden)
+            for i, a in enumerate(agents):
+                p_i, v_i, h_i = forward(a, obs[i])
+                assert np.array_equal(policy[i], p_i)
+                assert value[i] == v_i
+                assert np.array_equal(hidden[i], h_i)
+                # the plain matrix-vector products, bit for bit
+                assert np.array_equal(h_i, np.maximum(a.W1 @ obs[i] + a.b1, 0.0))
+                assert v_i == a.Wv @ h_i + a.bv
+
+    def test_population_wrong_observation_shape(self):
+        agents = stack_agents([zero_agent(H) for _ in range(3)])
+        for shape in [(3, 49), (2, 50), (50,), (1, 3, 50)]:
+            with pytest.raises(ValueError):
+                forward(agents, np.zeros(shape))
+
+    def test_population_non_finite_output(self):
+        agents = stack_agents([zero_agent(H) for _ in range(3)])
+        agents.bv[2] = np.inf
+        with pytest.raises(FloatingPointError):
+            forward(agents, np.zeros((3, 50)))
+        agents.bv[2] = 0.0
+        agents.b2[1, 5] = np.nan
+        with pytest.raises(FloatingPointError):
+            forward(agents, np.zeros((3, 50)))
+
+    def test_agent_views_update_population(self):
+        agents = stack_agents([zero_agent(H) for _ in range(3)])
+        view = agents.agent(1)
+        view.W1 += 1.0
+        view.bv -= 2.0
+        view.current_lr *= 0.5
+        assert np.all(agents.W1[1] == 1.0) and np.all(agents.W1[[0, 2]] == 0.0)
+        assert agents.bv.tolist() == [0.0, -2.0, 0.0]
+        assert agents.current_lr.tolist() == [H.learning_rate, H.learning_rate / 2, H.learning_rate]
 
 
 class TestScores:
@@ -248,6 +296,17 @@ class TestReplayBuffer:
         with pytest.raises(RuntimeError):
             ReplayBuffer(10, 0.01, 0.6).sample(1, derive_stream(0, "x"))
 
+    def test_overwritten_slot_takes_new_priority(self):
+        buf = ReplayBuffer(2, 0.01, 0.6)
+        old = Transition(0, np.zeros(2), 0, 0.0, np.zeros(2), False)
+        buf.add(old, 99.99)
+        buf.add(Transition(1, np.zeros(2), 0, 0.0, np.zeros(2), False), 1.0)
+        buf.add(Transition(2, np.zeros(2), 0, 0.0, np.zeros(2), False), 1.0)   # replaces old
+        sampled = buf.sample(10_000, derive_stream(0, "replay-overwrite"))
+        counts = np.bincount([t.agent_id for t in sampled], minlength=3)
+        assert counts[0] == 0
+        assert abs(counts[1] / 10_000.0 - 0.5) <= 0.02
+
     def test_ring_overwrite(self):
         buf = ReplayBuffer(3, 0.01, 0.6)
         trs = [Transition(i, np.zeros(2), 0, 0.0, np.zeros(2), False) for i in range(4)]
@@ -303,6 +362,13 @@ class TestApplyUpdate:
         assert np.array_equal(agent.W1, before.W1) and np.array_equal(agent.W2, before.W2)
         assert np.array_equal(agent.Wv, before.Wv) and agent.bv == before.bv
         assert agent.current_lr == pytest.approx(before.current_lr * 0.9995)
+
+    def test_learning_rate_decays_by_lr_decay(self):
+        agent = zero_agent(small_hyper())
+        batch = [Transition(0, np.ones(6), 1, 0.0, np.ones(6), False) for _ in range(4)]
+        apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
+        apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
+        assert agent.current_lr == pytest.approx(0.001 * 0.81)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -392,7 +458,7 @@ class TestCheckpoint:
         agents = [init_agent(derive_stream(s, "ckpt"), h) for s in range(3)]
         agents[1].current_lr = 0.0005
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, agents, h, episode=7)
+        save_checkpoint(path, stack_agents(agents), h, episode=7)
         loaded, meta = load_checkpoint(path)
         assert meta == {"obs_dim": 6, "hidden": 4, "n_actions": 3, "episode": 7}
         for a, b in zip(agents, loaded):
@@ -402,7 +468,7 @@ class TestCheckpoint:
 
     def test_parameter_count_validated(self, tmp_path):
         h = small_hyper()
-        agents = [init_agent(derive_stream(0, "ckpt"), h)]
+        agents = stack_agents([init_agent(derive_stream(0, "ckpt"), h)])
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, agents, h, episode=0)
         data = dict(np.load(path))
@@ -417,8 +483,30 @@ class TestDrlScheduler:
     def test_action_space_follows_cluster_size(self):
         sched = DrlScheduler(42, n_nodes=7)
         assert sched.h.n_actions == 7
-        assert len(sched.agents) == 7
-        assert all(a.W2.shape == (7, sched.h.hidden) for a in sched.agents)
+        assert sched.agents.W1.shape == (7, sched.h.hidden, sched.h.obs_dim)
+        assert sched.agents.W2.shape == (7, 7, sched.h.hidden)
+        assert sched.agents.b2.shape == (7, 7)
+        assert sched.agents.bv.shape == sched.agents.current_lr.shape == (7,)
+
+    def test_agents_keep_their_init_streams(self):
+        sched = DrlScheduler(42, n_nodes=3)
+        for i in range(3):
+            alone = init_agent(derive_stream(42, f"agent-init-{i}"), sched.h)
+            assert np.array_equal(sched.agents.W1[i], alone.W1)
+            assert np.array_equal(sched.agents.W2[i], alone.W2)
+            assert np.array_equal(sched.agents.Wv[i], alone.Wv)
+
+    def test_hyperparameter_lr_decay_takes_effect(self):
+        from marlsched.experiment import ExperimentConfig, run_episode
+
+        h = Hyperparams(lr_decay=0.5, batch_size=2)
+        cfg = ExperimentConfig(master_seed=5, n_nodes=4, n_tasks=40,
+                               episodes=1, final_window=1, hyper=h)
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
+        run_episode(sched, cfg, 0)
+        updates = np.log(sched.agents.current_lr / h.learning_rate) / np.log(0.5)
+        assert updates.max() >= 1
+        assert np.allclose(updates, np.round(updates), atol=1e-9)
 
     def test_inference_mode_deterministic(self):
         from marlsched.experiment import ExperimentConfig, run_episode

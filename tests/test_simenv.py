@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from marlsched.cluster import NodeSpec, generate_cluster
+from marlsched.cluster import (
+    MAX_CPU_CAPACITY,
+    MAX_MEM_CAPACITY,
+    MAX_P_DYN,
+    MAX_P_IDLE,
+    NodeSpec,
+    generate_cluster,
+)
 from marlsched.rng import derive_stream
 from marlsched.simenv import (
+    DURATION_LOG_CEILING,
     OBS_DIM,
+    TASK_FEATURES,
     SimConfig,
     advance,
     build_observation,
@@ -226,8 +235,9 @@ class TestEnergy:
 class TestObservation:
     def test_idle_empty_state(self):
         state = init_episode(SimConfig(), [], [node(i) for i in range(6)])
-        obs = build_observation(state, 0)
-        assert obs.shape == (OBS_DIM,)
+        observations = build_observation(state)
+        assert observations.shape == (6, OBS_DIM)
+        obs = observations[0]
         assert obs[0] == obs[1] == obs[2] == 0.0
         assert np.all(obs[7:10] == 0.0)          # all neighbors idle
         assert np.all(obs[10:] == 0.0)           # empty task window
@@ -236,7 +246,7 @@ class TestObservation:
         state = init_episode(SimConfig(), [], [node(i, cpu=16.0, mem=64.0,
                                                     p_idle=90.0, p_dyn=200.0)
                                                for i in range(6)])
-        obs = build_observation(state, 0)
+        obs = build_observation(state)[0]
         assert obs[3] == 16.0 / 32.0
         assert obs[4] == 64.0 / 128.0
         assert obs[5] == 90.0 / 180.0
@@ -250,7 +260,7 @@ class TestObservation:
         enqueue_assignment(state, 0, 1)   # u=0.5
         enqueue_assignment(state, 1, 2)   # u=0.5
         enqueue_assignment(state, 2, 4)   # u=0.5
-        obs = build_observation(state, 0)
+        obs = build_observation(state)[0]
         assert obs[7] == pytest.approx(0.375)    # mean of (0.5, 0.5, 0.5, 0.0)
         assert obs[8] == 0.0
         assert obs[9] == 0.5
@@ -258,7 +268,7 @@ class TestObservation:
     def test_task_window_padding(self):
         ts = [task(i, 10.0) for i in range(3)]
         state = init_episode(SimConfig(), ts, [node(0)])
-        obs = build_observation(state, 0)
+        obs = build_observation(state)[0]
         assert np.any(obs[10:25] != 0.0)
         assert np.all(obs[10 + 3 * 5:] == 0.0)   # last 5 slots (25 values) zero
 
@@ -272,8 +282,7 @@ class TestObservation:
                 if feas:
                     enqueue_assignment(state, tid, feas[0])
             advance(state, 5.0)
-            for i in range(state.n_nodes):
-                obs = build_observation(state, i)
+            for obs in build_observation(state):
                 assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
 
     def test_queue_length_feature(self):
@@ -281,5 +290,66 @@ class TestObservation:
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
         for tid in range(5):
             enqueue_assignment(state, tid, 0)
-        obs = build_observation(state, 0)
+        obs = build_observation(state)[0]
         assert obs[2] == pytest.approx(4 / 50.0)  # one running, four queued
+
+
+def reference_observation(state, node_id):
+    """Node ``node_id``'s observation, built feature by feature for that node alone."""
+    cfg = state.config
+    node = state.nodes[node_id]
+    obs = np.zeros(cfg.obs_dim)
+    spec = node.spec
+    obs[0] = node.utilization
+    obs[1] = node.mem_in_use / spec.mem_capacity
+    obs[2] = min(len(node.queue), 50) / 50.0
+    obs[3] = spec.cpu_capacity / MAX_CPU_CAPACITY
+    obs[4] = spec.mem_capacity / MAX_MEM_CAPACITY
+    obs[5] = spec.p_idle / MAX_P_IDLE
+    obs[6] = spec.p_dyn / MAX_P_DYN
+
+    n = len(state.nodes)
+    neighbor_ids = []
+    for off in range(1, cfg.neighbor_count // 2 + 1):
+        neighbor_ids.append((node_id - off) % n)
+        neighbor_ids.append((node_id + off) % n)
+    neighbor_ids = [i for i in dict.fromkeys(neighbor_ids) if i != node_id]
+    if neighbor_ids:
+        nb = np.array([state.nodes[i].utilization for i in neighbor_ids])
+        obs[7] = nb.mean()
+        obs[8] = nb.min()
+        obs[9] = nb.max()
+
+    for k, tid in enumerate(state.pending[: cfg.queue_feature_window]):
+        t = state.tasks[tid]
+        base = 10 + k * TASK_FEATURES
+        obs[base] = t.cpu / MAX_CPU_CAPACITY
+        obs[base + 1] = t.mem / MAX_MEM_CAPACITY
+        obs[base + 2] = (3 - t.priority) / 3.0
+        obs[base + 3] = (t.deadline - state.time) / (t.deadline - t.arrival)
+        obs[base + 4] = min(np.log(t.duration / 5.0) / np.log(DURATION_LOG_CEILING), 1.0)
+    return np.clip(obs, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_observation_rows_match_reference(n):
+    """Every row of the batched build equals the per-node reference, bit for
+    bit, on busy states: queued tasks, partial and full pending windows, and
+    the small rings (n <= 4) where neighbor offsets repeat or hit the node."""
+    rng = np.random.default_rng(n)
+    tasks = generate_workload(derive_stream(n, "wl"), 150, arrival_rate=1.0)
+    state = init_episode(SimConfig(), tasks, generate_cluster(derive_stream(n, "cl"), n))
+    windows, queued = set(), 0
+    for _ in range(40):
+        for tid in list(state.pending):
+            feas = feasible_nodes(state, state.tasks[tid])
+            if feas and rng.random() < 0.4:
+                enqueue_assignment(state, tid, feas[int(rng.integers(len(feas)))])
+        observations = build_observation(state)
+        assert observations.shape == (n, OBS_DIM)
+        for i in range(n):
+            assert np.array_equal(observations[i], reference_observation(state, i))
+        windows.add(min(len(state.pending), 8))
+        queued += sum(len(nd.queue) for nd in state.nodes)
+        advance(state, 5.0)
+    assert queued > 0 and 8 in windows and len(windows) > 2
