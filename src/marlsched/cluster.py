@@ -96,5 +96,5 @@ def step_energy(spec: NodeSpec, aggregate_cpu_in_use: float, dt: float) -> float
         raise ValueError(
             f"cpu in use {aggregate_cpu_in_use} outside [0, {spec.cpu_capacity}] on node {spec.id}"
         )
-    return (spec.p_idle + spec.p_dyn * (aggregate_cpu_in_use / spec.cpu_capacity)) * dt
+    return instantaneous_power(spec, aggregate_cpu_in_use / spec.cpu_capacity) * dt
 

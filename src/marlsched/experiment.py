@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -46,6 +44,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.schedulers:
             raise ValueError("schedulers must be nonempty")
+        for name in self.schedulers:
+            if name not in ALL_SCHEDULERS:
+                raise ValueError(f"unknown scheduler {name!r}; "
+                                 f"choose from {', '.join(ALL_SCHEDULERS)}")
         if not self.episodes >= self.final_window >= 1:
             raise ValueError("need episodes >= final_window >= 1")
 
@@ -104,10 +106,14 @@ def build_episode_inputs(config: ExperimentConfig, episode: int):
 
 def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
                 trace_file=None) -> EpisodeResult:
-    """One episode to completion or horizon; returns metrics and decision latency."""
+    """One episode to completion or horizon; returns metrics and decision latency.
+
+    With ``trace_file`` set, each step appends one JSON line: the clock after
+    the step, the task ids completed, dropped and arrived in it, and every
+    node's utilization.
+    """
     tasks, cluster = build_episode_inputs(config, episode)
     state = init_episode(config.sim, tasks, cluster)
-    state.trace_file = trace_file
     stream = derive_stream(config.master_seed, f"sched-{scheduler.name}-{episode}")
     scheduler.reset(state, stream)
 
@@ -124,6 +130,14 @@ def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
             if d.node_id is not None:
                 enqueue_assignment(state, d.task_id, d.node_id)
         report = advance(state, dt)
+        if trace_file is not None:
+            trace_file.write(json.dumps({
+                "time": state.time,
+                "completed": [c.task_id for c in report.completions],
+                "dropped": report.dropped,
+                "arrived": report.arrived,
+                "util": [round(n.utilization, 6) for n in state.nodes],
+            }) + "\n")
         scheduler.after_advance(state, report)
         if state.time >= config.sim.max_time or state.all_resolved():
             break
@@ -141,64 +155,28 @@ def make_scheduler(name: str, config: ExperimentConfig) -> Scheduler:
     raise ValueError(f"unknown scheduler: {name!r}")
 
 
-def _baseline_worker(args):
-    flat, name, episode = args
-    config = ExperimentConfig.from_flat(flat)
-    return run_episode(make_scheduler(name, config), config, episode)
-
-
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("MARL_SCHED_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _flatten_config(config: ExperimentConfig) -> dict:
-    return {
-        "master_seed": config.master_seed,
-        "n_nodes": config.n_nodes,
-        "n_tasks": config.n_tasks,
-        "episodes": config.episodes,
-        "final_window": config.final_window,
-        "schedulers": list(config.schedulers),
-        "arrival_rate": config.arrival_rate,
-        "priority_mix": list(config.priority_mix),
-        "output_dir": config.output_dir,
-        "sim.dt": config.sim.dt,
-        "sim.max_time": config.sim.max_time,
-    }
-
-
 def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
-    """The full per-scheduler protocol: ``episodes`` episodes, CSV persisted.
+    """The full per-scheduler protocol: ``episodes`` episodes in order.
 
-    DRL agents learn across episodes (strictly sequential) and a checkpoint is
-    written after the final episode; baselines may run in parallel workers.
+    ``<name>.csv`` is rewritten after every episode, so a run that fails in
+    episode k leaves episodes 0..k-1 on disk. DRL agents learn across
+    episodes, and a checkpoint is written after the final one.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = _worker_count()
-
-    if name != "drl" and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = _flatten_config(config)
-            results = list(pool.map(_baseline_worker, [(flat, name, ep) for ep in range(config.episodes)]))
-    else:
-        scheduler = make_scheduler(name, config)
-        results = []
-        trace_file = open(out / f"{name}_trace.jsonl", "w") if config.trace else None
-        try:
-            for ep in range(config.episodes):
-                results.append(run_episode(scheduler, config, ep, trace_file))
-        finally:
-            if trace_file:
-                trace_file.close()
-        if name == "drl":
-            save_checkpoint(out / "drl_checkpoint.npz", scheduler.agents, scheduler.h,
-                            config.episodes - 1)
-
-    write_episode_csv(out / f"{name}.csv", results)
+    scheduler = make_scheduler(name, config)
+    results = []
+    trace_file = open(out / f"{name}_trace.jsonl", "w") if config.trace else None
+    try:
+        for ep in range(config.episodes):
+            results.append(run_episode(scheduler, config, ep, trace_file))
+            write_episode_csv(out / f"{name}.csv", results)
+    finally:
+        if trace_file:
+            trace_file.close()
+    if name == "drl":
+        save_checkpoint(out / "drl_checkpoint.npz", scheduler.agents, scheduler.h,
+                        config.episodes - 1)
     return results
 
 

@@ -341,8 +341,7 @@ def apply_update(params: AgentParams, batch: Sequence[Transition], gamma: float,
     params.current_lr *= lr_decay
 
 
-def decay_explore(epsilon: float, h: Hyperparams | None = None) -> float:
-    h = h or Hyperparams()
+def decay_explore(epsilon: float, h: Hyperparams) -> float:
     return max(epsilon * h.explore_epsilon_decay, h.explore_epsilon_min)
 
 

@@ -7,7 +7,6 @@ partial observation each node agent sees.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -102,7 +101,6 @@ class SimState:
     steps: int = 0
     _arrival_order: list[int] = field(default_factory=list)
     _next_arrival_idx: int = 0
-    trace_file: object = None
 
     @property
     def n_nodes(self) -> int:
@@ -263,7 +261,7 @@ def advance(state: SimState, dt: float) -> StepReport:
     state.time = new_time
     state.completions.extend(completions)
 
-    report = StepReport(
+    return StepReport(
         arrived=arrived,
         completions=completions,
         dropped=dropped,
@@ -271,15 +269,6 @@ def advance(state: SimState, dt: float) -> StepReport:
         node_energy_joules=node_energy,
         util_variance=util_variance,
     )
-    if state.trace_file is not None:
-        state.trace_file.write(json.dumps({
-            "time": state.time,
-            "completed": [c.task_id for c in completions],
-            "dropped": dropped,
-            "arrived": arrived,
-            "util": [round(n.utilization, 6) for n in state.nodes],
-        }) + "\n")
-    return report
 
 
 def total_energy(state: SimState) -> float:

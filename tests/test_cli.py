@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from marlsched import experiment
 from marlsched.cli import main
 from marlsched.experiment import (
     EPISODE_CSV_COLUMNS,
@@ -14,6 +15,7 @@ from marlsched.experiment import (
     write_episode_csv,
 )
 from marlsched.plots import PlotInputError, emit_all, improvement_curve_svg
+from marlsched.schedulers import RandomScheduler
 
 
 class TestExperimentConfig:
@@ -39,6 +41,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(episodes=3, final_window=5)
 
+    def test_unknown_scheduler_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheduler 'sjf'; "
+                                             "choose from random, wrr, minmin, drl"):
+            ExperimentConfig(schedulers=("random", "sjf"))
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"master_seed": 7, "n_tasks": 50}))
@@ -59,6 +66,58 @@ class TestEpisodeCsv:
         out2 = tmp_path / "again.csv"
         write_episode_csv(out2, results)
         assert out2.read_bytes() == (tmp_path / "random.csv").read_bytes()
+
+
+class CrashingRandom(RandomScheduler):
+    """Random placement that fails in the first step of episode 2."""
+
+    def __init__(self):
+        super().__init__()
+        self.episode = -1
+
+    def reset(self, state, stream=None):
+        super().reset(state, stream)
+        self.episode += 1
+
+    def assign(self, state, pending):
+        if self.episode == 2:
+            raise FloatingPointError("injected failure")
+        return super().assign(state, pending)
+
+
+class TestRunScheduler:
+    def test_crash_keeps_finished_episodes(self, tmp_path, monkeypatch):
+        def config(out):
+            return ExperimentConfig(n_nodes=6, n_tasks=20, episodes=4, final_window=1,
+                                    output_dir=str(tmp_path / out))
+
+        run_scheduler(config("full"), "random")
+        monkeypatch.setitem(experiment.BASELINES, "random", CrashingRandom)
+        with pytest.raises(FloatingPointError):
+            run_scheduler(config("crashed"), "random")
+        crashed = tmp_path / "crashed" / "random.csv"
+        full = (tmp_path / "full" / "random.csv").read_bytes()
+        assert [row["episode"] for row in read_episode_csv(crashed)] == ["0", "1"]
+        assert crashed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
+
+    @pytest.mark.parametrize("name", ["minmin", "drl"])
+    def test_trace_records_match_episode_csv(self, tmp_path, name):
+        cfg = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1,
+                               output_dir=str(tmp_path), trace=True)
+        run_scheduler(cfg, name)
+        records = [json.loads(line)
+                   for line in (tmp_path / f"{name}_trace.jsonl").read_text().splitlines()]
+        episodes = []
+        for record in records:
+            assert set(record) == {"time", "completed", "dropped", "arrived", "util"}
+            assert len(record["util"]) == cfg.n_nodes
+            if record["time"] == cfg.sim.dt:  # first step of an episode
+                episodes.append([])
+            episodes[-1].append(record)
+        rows = read_episode_csv(tmp_path / f"{name}.csv")
+        assert len(episodes) == len(rows) == cfg.episodes
+        for steps, row in zip(episodes, rows):
+            assert sum(len(r["completed"]) for r in steps) == int(row["completed"])
 
 
 class TestCliRun:

@@ -438,16 +438,16 @@ class TestApplyUpdate:
 
 class TestExplorationDecay:
     def test_one_step(self):
-        assert decay_explore(0.3) == pytest.approx(0.2985)
+        assert decay_explore(0.3, Hyperparams()) == pytest.approx(0.2985)
 
     def test_floor(self):
-        assert decay_explore(0.0100001) == 0.01
-        assert decay_explore(0.005) == 0.01
+        assert decay_explore(0.0100001, Hyperparams()) == 0.01
+        assert decay_explore(0.005, Hyperparams()) == 0.01
 
     def test_hundred_episodes(self):
         eps = 0.3
         for _ in range(100):
-            eps = decay_explore(eps)
+            eps = decay_explore(eps, Hyperparams())
         assert eps == pytest.approx(0.3 * 0.995**100)
         assert eps == pytest.approx(0.1817, abs=1e-3)
 
