@@ -60,26 +60,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_flat(cls, raw: dict) -> "ExperimentConfig":
+        """Top-level keys by name, ``sim.<field>`` and ``hyper.<field>`` for the
+        nested sections; any other key is a ``ValueError``."""
         cfg = cls()
-        top = {f.name for f in fields(cls)}
-        updates, sim_updates, hyper_updates = {}, {}, {}
+        sections = {"sim": {}, "hyper": {}}
+        top = {f.name for f in fields(cls)} - sections.keys()
+        updates = {}
         for key, value in raw.items():
-            if key.startswith("sim."):
-                sim_updates[key[4:]] = value
-            elif key.startswith("hyper."):
-                hyper_updates[key[6:]] = value
+            section, _, name = key.rpartition(".")
+            if section in sections and name in {f.name for f in fields(getattr(cfg, section))}:
+                sections[section][name] = value
             elif key in top:
-                if key in ("schedulers", "priority_mix"):
-                    value = tuple(value)
-                updates[key] = value
+                updates[key] = tuple(value) if key in ("schedulers", "priority_mix") else value
             else:
                 raise ValueError(f"unknown config key: {key}")
-        cfg = replace(cfg, **updates)
-        if sim_updates:
-            cfg = replace(cfg, sim=replace(cfg.sim, **sim_updates))
-        if hyper_updates:
-            cfg = replace(cfg, hyper=replace(cfg.hyper, **hyper_updates))
-        return cfg
+        for section, section_updates in sections.items():
+            updates[section] = replace(getattr(cfg, section), **section_updates)
+        return replace(cfg, **updates)
 
 
 @dataclass
@@ -175,8 +172,7 @@ def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
         if trace_file:
             trace_file.close()
     if name == "drl":
-        save_checkpoint(out / "drl_checkpoint.npz", scheduler.agents, scheduler.h,
-                        config.episodes - 1)
+        save_checkpoint(out / "drl_checkpoint.npz", scheduler.agents, config.episodes - 1)
     return results
 
 

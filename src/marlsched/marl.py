@@ -10,23 +10,21 @@ observation and runs every agent's forward pass in one call each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
 from .rng import RngStream, derive_stream
 from .schedulers import Scheduler, SchedulerDecision
-from .simenv import SimState, StepReport, build_observation, feasible_nodes
+from .simenv import OBS_DIM, SimState, StepReport, build_observation, feasible_nodes
 from .workload import Task
 from .cluster import MAX_CPU_CAPACITY, MAX_MEM_CAPACITY
 
 
 @dataclass
 class Hyperparams:
-    obs_dim: int = 50
     hidden: int = 128
-    n_actions: int = 100
     learning_rate: float = 0.001
     lr_decay: float = 0.9995
     gamma: float = 0.99
@@ -49,7 +47,6 @@ class Hyperparams:
     w_load: float = 0.30
     w_mem: float = 0.20
     w_compat: float = 0.15
-    w_prio: float = 0.10
     # reward shaping constants
     sla_plus: float = 15.0
     sla_minus: float = 20.0
@@ -91,7 +88,7 @@ def expected_param_count(obs_dim: int, hidden: int, n_actions: int) -> int:
     return obs_dim * hidden + hidden + hidden * n_actions + n_actions + hidden + 1
 
 
-def init_agent(s: RngStream, h: Hyperparams) -> AgentParams:
+def init_agent(s: RngStream, h: Hyperparams, obs_dim: int, n_actions: int) -> AgentParams:
     """Scaled-uniform weight init (limit sqrt(2/fan_in)), zero biases."""
 
     def draw(shape, fan_in):
@@ -99,10 +96,10 @@ def init_agent(s: RngStream, h: Hyperparams) -> AgentParams:
         return (2.0 * s.uniform_array(int(np.prod(shape))).reshape(shape) - 1.0) * limit
 
     return AgentParams(
-        W1=draw((h.hidden, h.obs_dim), h.obs_dim),
+        W1=draw((h.hidden, obs_dim), obs_dim),
         b1=np.zeros(h.hidden),
-        W2=draw((h.n_actions, h.hidden), h.hidden),
-        b2=np.zeros(h.n_actions),
+        W2=draw((n_actions, h.hidden), h.hidden),
+        b2=np.zeros(n_actions),
         Wv=draw((h.hidden,), h.hidden),
         bv=0.0,
         current_lr=h.learning_rate,
@@ -150,14 +147,13 @@ def assignment_score(
     h: Hyperparams,
 ) -> float:
     """Hybrid per-(task, node) score: learned preference plus load, memory
-    headroom, size compatibility and priority terms."""
+    headroom and size compatibility terms."""
     compat = min(max(1.0 - abs(task.cpu / cpu_capacity - 0.5), 0.0), 1.0)
     return (
         h.w_pi * policy_value_for_node
         + h.w_load * (1.0 - utilization)
         + h.w_mem * (1.0 - mem_fraction)
         + h.w_compat * compat
-        + h.w_prio * task.priority
     )
 
 
@@ -345,12 +341,14 @@ def decay_explore(epsilon: float, h: Hyperparams) -> float:
     return max(epsilon * h.explore_epsilon_decay, h.explore_epsilon_min)
 
 
-def save_checkpoint(path, agents: AgentParams, h: Hyperparams, episode: int) -> None:
+def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
     """The population's arrays, uncompressed, plus a shape/episode header;
     parameter-count validated on load."""
+    _, hidden, obs_dim = agents.W1.shape
+    n_actions = agents.W2.shape[1]
     np.savez(
         path,
-        header=np.array([h.obs_dim, h.hidden, h.n_actions, episode], dtype=np.int64),
+        header=np.array([obs_dim, hidden, n_actions, episode], dtype=np.int64),
         lrs=agents.current_lr,
         W1=agents.W1,
         b1=agents.b1,
@@ -389,12 +387,11 @@ class DrlScheduler(Scheduler):
 
     def __init__(self, master_seed: int, n_nodes: int, h: Hyperparams | None = None, train: bool = True):
         self.h = h or Hyperparams()
-        if self.h.n_actions != n_nodes:
-            self.h = replace(self.h, n_actions=n_nodes)
         self.n_nodes = n_nodes
         self.train = train
         self.agents = stack_agents([
-            init_agent(derive_stream(master_seed, f"agent-init-{i}"), self.h) for i in range(n_nodes)
+            init_agent(derive_stream(master_seed, f"agent-init-{i}"), self.h, OBS_DIM, n_nodes)
+            for i in range(n_nodes)
         ])
         self.buffers = [
             ReplayBuffer(self.h.replay_capacity, self.h.per_epsilon, self.h.per_exponent)
@@ -453,7 +450,7 @@ class DrlScheduler(Scheduler):
         self._current = []
 
     def end_episode(self, state):
-        zero = np.zeros(self.h.obs_dim)
+        zero = np.zeros(OBS_DIM)
         for tr in self._awaiting:
             tr.next_obs = zero
             tr.terminal = True

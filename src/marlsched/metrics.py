@@ -38,10 +38,9 @@ def objective_j(
     mean_util_variance: float,
     e_max_kwh: float,
     max_time: float,
-    weights: Sequence[float] = DEFAULT_OBJECTIVE_WEIGHTS,
 ) -> float:
     """Weighted scalar over the four normalized objective components (reporting only)."""
-    w1, w2, w3, w4 = weights
+    w1, w2, w3, w4 = DEFAULT_OBJECTIVE_WEIGHTS
     return (
         w1 * (atct / max_time)
         + w2 * (energy_kwh / e_max_kwh if e_max_kwh > 0 else 0.0)
@@ -50,7 +49,7 @@ def objective_j(
     )
 
 
-def summarize_episode(state: SimState, weights: Sequence[float] = DEFAULT_OBJECTIVE_WEIGHTS) -> EpisodeMetrics:
+def summarize_episode(state: SimState) -> EpisodeMetrics:
     """Metrics for a finished episode (horizon reached or all tasks resolved)."""
     total = len(state.tasks)
     records = state.completions
@@ -69,7 +68,6 @@ def summarize_episode(state: SimState, weights: Sequence[float] = DEFAULT_OBJECT
         util_var,
         max_energy_kwh(state, state.config.max_time),
         state.config.max_time,
-        weights,
     )
     return EpisodeMetrics(
         atct=atct,

@@ -22,8 +22,12 @@ from .cluster import (
 )
 from .workload import Task
 
-OBS_DIM = 50
+# Observation layout: 7 own-node features, 3 ring-neighbour aggregates over
+# NEIGHBOR_COUNT neighbours, then QUEUE_WINDOW pending tasks x TASK_FEATURES.
+NEIGHBOR_COUNT = 4
+QUEUE_WINDOW = 8
 TASK_FEATURES = 5
+OBS_DIM = 7 + 3 + QUEUE_WINDOW * TASK_FEATURES
 # Largest duration rendered distinguishably in the log-scaled feature.
 DURATION_LOG_CEILING = 1000.0
 
@@ -32,15 +36,10 @@ DURATION_LOG_CEILING = 1000.0
 class SimConfig:
     dt: float = 5.0
     max_time: float = 10_000.0
-    queue_feature_window: int = 8
-    neighbor_count: int = 4
-    obs_dim: int = OBS_DIM
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        if self.queue_feature_window * TASK_FEATURES + 7 + 3 != self.obs_dim:
-            raise ValueError("observation layout does not fill obs_dim")
 
 
 @dataclass
@@ -84,7 +83,6 @@ class StepReport:
     completions: list[CompletionRecord]
     dropped: list[int]
     energy_joules: float
-    node_energy_joules: dict[int, float]
     util_variance: float
 
 
@@ -246,12 +244,12 @@ def advance(state: SimState, dt: float) -> StepReport:
         state.dropped.extend(dropped)
 
     # 5. energy on post-admission utilization
-    node_energy = {}
+    node_energy = []
     utils = np.empty(len(state.nodes))
     for i, node in enumerate(state.nodes):
         e = step_energy(node.spec, node.cpu_in_use, dt)
         node.energy_joules += e
-        node_energy[node.spec.id] = e
+        node_energy.append(e)
         utils[i] = node.utilization
     util_variance = float(np.var(utils))
     state.util_variance_sum += util_variance
@@ -265,8 +263,7 @@ def advance(state: SimState, dt: float) -> StepReport:
         arrived=arrived,
         completions=completions,
         dropped=dropped,
-        energy_joules=sum(node_energy.values()),
-        node_energy_joules=node_energy,
+        energy_joules=sum(node_energy),
         util_variance=util_variance,
     )
 
@@ -284,10 +281,9 @@ def build_observation(state: SimState) -> np.ndarray:
     10-49 a window of the 8 oldest pending tasks x 5 features, zero-padded.
     The window is the same for every agent.
     """
-    cfg = state.config
     nodes = state.nodes
     n = len(nodes)
-    obs = np.zeros((n, cfg.obs_dim))
+    obs = np.zeros((n, OBS_DIM))
     util = np.array([node.utilization for node in nodes])
     obs[:, 0] = util
     obs[:, 1] = [node.mem_in_use / node.spec.mem_capacity for node in nodes]
@@ -300,7 +296,7 @@ def build_observation(state: SimState) -> np.ndarray:
     # Ring offsets -1, +1, -2, +2, ...; on small rings they repeat or wrap
     # onto the node itself, so keep the first of each and drop offset 0.
     offsets = []
-    for off in range(1, cfg.neighbor_count // 2 + 1):
+    for off in range(1, NEIGHBOR_COUNT // 2 + 1):
         offsets += [-off % n, off % n]
     offsets = [o for o in dict.fromkeys(offsets) if o != 0]
     if offsets:
@@ -311,7 +307,7 @@ def build_observation(state: SimState) -> np.ndarray:
 
     now = state.time
     window = []
-    for tid in state.pending[: cfg.queue_feature_window]:
+    for tid in state.pending[:QUEUE_WINDOW]:
         t = state.tasks[tid]
         window += [
             t.cpu / MAX_CPU_CAPACITY,

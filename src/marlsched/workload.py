@@ -7,7 +7,6 @@ classes with a class-dependent deadline multiplier.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,32 +82,3 @@ def generate_workload(
             )
         )
     return tasks
-
-
-WORKLOAD_CSV_COLUMNS = ["id", "arrival", "duration", "cpu", "mem", "priority", "deadline"]
-
-
-def workload_to_csv(tasks: Sequence[Task], path) -> None:
-    """Export a workload for inspection and replay."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(WORKLOAD_CSV_COLUMNS)
-        for t in tasks:
-            w.writerow([t.id, repr(t.arrival), repr(t.duration), repr(t.cpu), repr(t.mem), t.priority, repr(t.deadline)])
-
-
-def workload_from_csv(path) -> list[Task]:
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    return [
-        Task(
-            id=int(r["id"]),
-            arrival=float(r["arrival"]),
-            duration=float(r["duration"]),
-            cpu=float(r["cpu"]),
-            mem=float(r["mem"]),
-            priority=int(r["priority"]),
-            deadline=float(r["deadline"]),
-        )
-        for r in rows
-    ]

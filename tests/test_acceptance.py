@@ -31,7 +31,7 @@ from marlsched.schedulers import (
     RandomScheduler,
     WeightedRoundRobinScheduler,
 )
-from marlsched.simenv import SimConfig, advance, enqueue_assignment, init_episode
+from marlsched.simenv import OBS_DIM, SimConfig, advance, enqueue_assignment, init_episode
 from marlsched.stats import confidence_interval_95, welch_t_test
 from marlsched.workload import Task, deadline_for, generate_workload
 
@@ -141,11 +141,10 @@ def test_p3_network_correctness():
     t0 = time.perf_counter()
     checks = []
 
+    agent = init_agent(derive_stream(42, "p3"), Hyperparams(), OBS_DIM, 100)
     checks.append(("parameter count 19,557 at (50, 128, 100)",
-                   expected_param_count(50, 128, 100) == 19_557
-                   and init_agent(derive_stream(42, "p3"), Hyperparams()).n_params == 19_557))
+                   expected_param_count(50, 128, 100) == 19_557 and agent.n_params == 19_557))
 
-    agent = init_agent(derive_stream(42, "p3"), Hyperparams())
     rng = np.random.default_rng(0)
     worst = max(abs(forward(agent, rng.random(50))[0].sum() - 1.0) for _ in range(1000))
     checks.append(("softmax normalization error <= 1e-9 on 1000 inputs", worst <= 1e-9))
@@ -154,7 +153,7 @@ def test_p3_network_correctness():
     step = 1e-5
     worst_rel = 0.0
     for trial in range(100):
-        net = init_agent(derive_stream(trial, "p3-fd"), h)
+        net = init_agent(derive_stream(trial, "p3-fd"), h, 6, 3)
         batch = [
             Transition(0, rng.random(6), int(rng.integers(3)),
                        float(rng.normal()), rng.random(6), bool(rng.random() < 0.2))

@@ -1,6 +1,7 @@
 """Config parsing, CLI commands, persistence determinism and plot emission."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -36,6 +37,15 @@ class TestExperimentConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig.from_flat({"n_episodes": 5})
+
+    @pytest.mark.parametrize("key", [
+        "sim.obs_dim", "sim.queue_feature_window", "sim.neighbor_count",
+        "hyper.obs_dim", "hyper.n_actions", "hyper.w_prio",
+        "sim.bogus", "hyper.bogus", "sim.hyper.gamma", "sim", ".episodes",
+    ])
+    def test_unknown_nested_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"^unknown config key: {re.escape(key)}$"):
+            ExperimentConfig.from_flat({key: 7})
 
     def test_window_must_fit(self):
         with pytest.raises(ValueError):
@@ -139,6 +149,15 @@ class TestCliRun:
         bad = tmp_path / "cfg.json"
         bad.write_text(json.dumps({"bogus_key": 1}))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", ["sim.obs_dim", "hyper.n_actions", "hyper.bogus"])
+    def test_unknown_nested_config_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 7}))
+        rc = main(["run", "--config", str(cfg), "--episodes", "1", "--nodes", "3",
+                   "--tasks", "5", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
 
     def test_trace_file_emitted(self, tmp_path):
         rc = main(["run", "--scheduler", "minmin", "--episodes", "1", "--seed", "1",

@@ -25,20 +25,20 @@ from marlsched.marl import (
     td_error,
 )
 from marlsched.rng import derive_stream
-from marlsched.simenv import CompletionRecord, SimConfig, StepReport, init_episode
+from marlsched.simenv import OBS_DIM, CompletionRecord, SimConfig, StepReport, init_episode
 from marlsched.workload import Task, deadline_for
 
 H = Hyperparams()
 
 
 def small_hyper(**kw):
-    return Hyperparams(obs_dim=6, hidden=4, n_actions=3, **kw)
+    return Hyperparams(hidden=4, **kw)
 
 
-def zero_agent(h):
+def zero_agent(h, obs_dim, n_actions):
     return AgentParams(
-        W1=np.zeros((h.hidden, h.obs_dim)), b1=np.zeros(h.hidden),
-        W2=np.zeros((h.n_actions, h.hidden)), b2=np.zeros(h.n_actions),
+        W1=np.zeros((h.hidden, obs_dim)), b1=np.zeros(h.hidden),
+        W2=np.zeros((n_actions, h.hidden)), b2=np.zeros(n_actions),
         Wv=np.zeros(h.hidden), bv=0.0, current_lr=h.learning_rate,
     )
 
@@ -56,27 +56,27 @@ def task(tid, duration=10.0, cpu=1.0, mem=1.0, arrival=0.0, priority=1):
 class TestNetwork:
     def test_parameter_count(self):
         assert expected_param_count(50, 128, 100) == 19_557
-        agent = init_agent(derive_stream(42, "agent-init-0"), H)
+        agent = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
         assert agent.n_params == 19_557
 
     def test_init_biases_zero_weights_bounded(self):
-        agent = init_agent(derive_stream(42, "agent-init-0"), H)
+        agent = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
         assert np.all(agent.b1 == 0.0) and np.all(agent.b2 == 0.0) and agent.bv == 0.0
-        assert np.all(np.abs(agent.W1) <= np.sqrt(2.0 / H.obs_dim))
+        assert np.all(np.abs(agent.W1) <= np.sqrt(2.0 / OBS_DIM))
         assert np.all(np.abs(agent.W2) <= np.sqrt(2.0 / H.hidden))
 
     def test_init_deterministic(self):
-        a = init_agent(derive_stream(42, "agent-init-0"), H)
-        b = init_agent(derive_stream(42, "agent-init-0"), H)
+        a = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
+        b = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
 
     def test_zero_params_uniform_policy(self):
-        policy, value, _ = forward(zero_agent(H), np.zeros(50))
+        policy, value, _ = forward(zero_agent(H, OBS_DIM, 100), np.zeros(50))
         assert np.allclose(policy, 0.01)
         assert value == 0.0
 
     def test_softmax_normalization(self):
-        agent = init_agent(derive_stream(42, "agent-init-0"), H)
+        agent = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
         rng = np.random.default_rng(0)
         for _ in range(1000):
             policy, _, _ = forward(agent, rng.random(50))
@@ -85,7 +85,7 @@ class TestNetwork:
 
     def test_softmax_shift_invariance(self):
         h = small_hyper()
-        agent = init_agent(derive_stream(0, "a"), h)
+        agent = init_agent(derive_stream(0, "a"), h, 6, 3)
         obs = np.linspace(0, 1, 6)
         p1, _, _ = forward(agent, obs)
         agent.b2 = agent.b2 + 5.0     # constant shift of every logit
@@ -94,20 +94,20 @@ class TestNetwork:
 
     def test_wrong_observation_length(self):
         with pytest.raises(ValueError):
-            forward(zero_agent(H), np.zeros(49))
+            forward(zero_agent(H, OBS_DIM, 100), np.zeros(49))
 
     def test_population_forward_equals_per_agent(self):
-        h = Hyperparams(n_actions=7)
         rng = np.random.default_rng(3)
         for trial in range(20):
-            agents = [init_agent(derive_stream(trial, f"agent-init-{i}"), h) for i in range(7)]
+            agents = [init_agent(derive_stream(trial, f"agent-init-{i}"), H, OBS_DIM, 7)
+                      for i in range(7)]
             for a in agents:
-                a.b1 = rng.normal(size=h.hidden) * 0.1
-                a.b2 = rng.normal(size=h.n_actions)
+                a.b1 = rng.normal(size=H.hidden) * 0.1
+                a.b2 = rng.normal(size=7)
                 a.bv = float(rng.normal())
-            obs = rng.random((7, h.obs_dim))
+            obs = rng.random((7, OBS_DIM))
             policy, value, hidden = forward(stack_agents(agents), obs)
-            assert policy.shape == (7, 7) and value.shape == (7,) and hidden.shape == (7, h.hidden)
+            assert policy.shape == (7, 7) and value.shape == (7,) and hidden.shape == (7, H.hidden)
             for i, a in enumerate(agents):
                 p_i, v_i, h_i = forward(a, obs[i])
                 assert np.array_equal(policy[i], p_i)
@@ -118,13 +118,13 @@ class TestNetwork:
                 assert v_i == a.Wv @ h_i + a.bv
 
     def test_population_wrong_observation_shape(self):
-        agents = stack_agents([zero_agent(H) for _ in range(3)])
+        agents = stack_agents([zero_agent(H, OBS_DIM, 100) for _ in range(3)])
         for shape in [(3, 49), (2, 50), (50,), (1, 3, 50)]:
             with pytest.raises(ValueError):
                 forward(agents, np.zeros(shape))
 
     def test_population_non_finite_output(self):
-        agents = stack_agents([zero_agent(H) for _ in range(3)])
+        agents = stack_agents([zero_agent(H, OBS_DIM, 100) for _ in range(3)])
         agents.bv[2] = np.inf
         with pytest.raises(FloatingPointError):
             forward(agents, np.zeros((3, 50)))
@@ -134,7 +134,7 @@ class TestNetwork:
             forward(agents, np.zeros((3, 50)))
 
     def test_agent_views_update_population(self):
-        agents = stack_agents([zero_agent(H) for _ in range(3)])
+        agents = stack_agents([zero_agent(H, OBS_DIM, 100) for _ in range(3)])
         view = agents.agent(1)
         view.W1 += 1.0
         view.bv -= 2.0
@@ -170,16 +170,6 @@ class TestScores:
     def test_assignment_score_ideal_node(self):
         t = task(0, cpu=2.0, priority=0)   # cpu/C = 0.5 -> compat 1
         assert assignment_score(1.0, 0.0, 0.0, t, 4.0, H) == pytest.approx(0.90)
-
-    def test_priority_term_does_not_change_argmax(self):
-        t_hi = task(0, cpu=2.0, priority=0)
-        t_lo = task(1, cpu=2.0, priority=2)
-        node_inputs = [(0.1, 0.3, 0.2, 8.0), (0.4, 0.1, 0.5, 4.0), (0.2, 0.0, 0.9, 16.0)]
-        for t in (t_hi, t_lo):
-            scores = [assignment_score(pi, u, m, t, c, H) for pi, u, m, c in node_inputs]
-            base = [assignment_score(pi, u, m, t, c, H) - H.w_prio * t.priority
-                    for pi, u, m, c in node_inputs]
-            assert int(np.argmax(scores)) == int(np.argmax(base))
 
 
 class TestSelection:
@@ -227,8 +217,7 @@ class TestReward:
     @staticmethod
     def report(completions=(), dropped=(), energy_joules=0.0, util_variance=0.0):
         return StepReport(arrived=[], completions=list(completions), dropped=list(dropped),
-                          energy_joules=energy_joules, node_energy_joules={},
-                          util_variance=util_variance)
+                          energy_joules=energy_joules, util_variance=util_variance)
 
     def test_on_time_production_completion(self):
         r = compute_step_reward(self.report([self.completion(0, 200.0, True)]), None, H)
@@ -256,18 +245,18 @@ class TestTdError:
     def test_simple_substitution(self):
         h = small_hyper()
         tr = Transition(0, np.zeros(6), 0, 1.0, np.zeros(6), False)
-        assert td_error(zero_agent(h), tr, 0.99) == pytest.approx(1.0)
+        assert td_error(zero_agent(h, 6, 3), tr, 0.99) == pytest.approx(1.0)
 
     def test_terminal_no_bootstrap(self):
         h = small_hyper()
-        agent = zero_agent(h)
+        agent = zero_agent(h, 6, 3)
         agent.bv = 0.5
         tr = Transition(0, np.zeros(6), 0, 2.0, np.ones(6), True)
         assert td_error(agent, tr, 0.99) == pytest.approx(1.5)
 
     def test_bootstrap_term(self):
         h = small_hyper()
-        agent = zero_agent(h)
+        agent = zero_agent(h, 6, 3)
         agent.bv = 0.5
         tr = Transition(0, np.zeros(6), 0, 1.0, np.ones(6), False)
         assert td_error(agent, tr, 0.99) == pytest.approx(1.0 + 0.99 * 0.5 - 0.5)
@@ -355,7 +344,7 @@ def copy_params(p):
 class TestApplyUpdate:
     def test_zero_delta_leaves_params_lr_decays(self):
         h = small_hyper()
-        agent = zero_agent(h)
+        agent = zero_agent(h, 6, 3)
         before = copy_params(agent)
         batch = [Transition(0, np.ones(6), 1, 0.0, np.ones(6), False) for _ in range(4)]
         apply_update(agent, batch, gamma=0.99)
@@ -364,7 +353,7 @@ class TestApplyUpdate:
         assert agent.current_lr == pytest.approx(before.current_lr * 0.9995)
 
     def test_learning_rate_decays_by_lr_decay(self):
-        agent = zero_agent(small_hyper())
+        agent = zero_agent(small_hyper(), 6, 3)
         batch = [Transition(0, np.ones(6), 1, 0.0, np.ones(6), False) for _ in range(4)]
         apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
         apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
@@ -372,7 +361,7 @@ class TestApplyUpdate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            apply_update(zero_agent(small_hyper()), [], gamma=0.99)
+            apply_update(zero_agent(small_hyper(), 6, 3), [], gamma=0.99)
 
     def test_gradient_matches_finite_differences(self):
         """Analytic backprop vs central differences on 100 random small nets."""
@@ -380,7 +369,7 @@ class TestApplyUpdate:
         rng = np.random.default_rng(12345)
         step = 1e-5
         for trial in range(100):
-            agent = init_agent(derive_stream(trial, "fd-agent"), h)
+            agent = init_agent(derive_stream(trial, "fd-agent"), h, 6, 3)
             batch = [
                 Transition(0, rng.random(6), int(rng.integers(3)),
                            float(rng.normal()), rng.random(6), bool(rng.random() < 0.2))
@@ -424,7 +413,7 @@ class TestApplyUpdate:
 
     def test_gradient_clipping_bounds_step(self):
         h = small_hyper()
-        agent = init_agent(derive_stream(0, "clip"), h)
+        agent = init_agent(derive_stream(0, "clip"), h, 6, 3)
         batch = [Transition(0, np.ones(6), 0, 1000.0, np.ones(6), True) for _ in range(4)]
         before = copy_params(agent)
         lr = agent.current_lr
@@ -455,10 +444,10 @@ class TestExplorationDecay:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         h = small_hyper()
-        agents = [init_agent(derive_stream(s, "ckpt"), h) for s in range(3)]
+        agents = [init_agent(derive_stream(s, "ckpt"), h, 6, 3) for s in range(3)]
         agents[1].current_lr = 0.0005
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, stack_agents(agents), h, episode=7)
+        save_checkpoint(path, stack_agents(agents), episode=7)
         loaded, meta = load_checkpoint(path)
         assert meta == {"obs_dim": 6, "hidden": 4, "n_actions": 3, "episode": 7}
         for a, b in zip(agents, loaded):
@@ -468,9 +457,9 @@ class TestCheckpoint:
 
     def test_parameter_count_validated(self, tmp_path):
         h = small_hyper()
-        agents = stack_agents([init_agent(derive_stream(0, "ckpt"), h)])
+        agents = stack_agents([init_agent(derive_stream(0, "ckpt"), h, 6, 3)])
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, agents, h, episode=0)
+        save_checkpoint(path, agents, episode=0)
         data = dict(np.load(path))
         data["header"] = np.array([6, 8, 3, 0], dtype=np.int64)  # wrong hidden size
         bad = tmp_path / "bad.npz"
@@ -482,8 +471,7 @@ class TestCheckpoint:
 class TestDrlScheduler:
     def test_action_space_follows_cluster_size(self):
         sched = DrlScheduler(42, n_nodes=7)
-        assert sched.h.n_actions == 7
-        assert sched.agents.W1.shape == (7, sched.h.hidden, sched.h.obs_dim)
+        assert sched.agents.W1.shape == (7, sched.h.hidden, OBS_DIM)
         assert sched.agents.W2.shape == (7, 7, sched.h.hidden)
         assert sched.agents.b2.shape == (7, 7)
         assert sched.agents.bv.shape == sched.agents.current_lr.shape == (7,)
@@ -491,7 +479,7 @@ class TestDrlScheduler:
     def test_agents_keep_their_init_streams(self):
         sched = DrlScheduler(42, n_nodes=3)
         for i in range(3):
-            alone = init_agent(derive_stream(42, f"agent-init-{i}"), sched.h)
+            alone = init_agent(derive_stream(42, f"agent-init-{i}"), sched.h, OBS_DIM, 3)
             assert np.array_equal(sched.agents.W1[i], alone.W1)
             assert np.array_equal(sched.agents.W2[i], alone.W2)
             assert np.array_equal(sched.agents.Wv[i], alone.Wv)

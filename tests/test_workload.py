@@ -1,4 +1,4 @@
-"""Workload generator postconditions, statistical fidelity and CSV roundtrip."""
+"""Workload generator postconditions, and statistical fidelity."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from marlsched.workload import (
     DEADLINE_FACTORS,
     deadline_for,
     generate_workload,
-    workload_from_csv,
-    workload_to_csv,
 )
 
 
@@ -75,10 +73,3 @@ class TestGeneration:
         fracs = counts / len(big_workload)
         for frac, expected in zip(fracs, (0.25, 0.60, 0.15)):
             assert frac == pytest.approx(expected, abs=0.02)
-
-
-def test_csv_roundtrip(tmp_path):
-    tasks = generate_workload(derive_stream(7, "wl-csv"), 40)
-    path = tmp_path / "workload.csv"
-    workload_to_csv(tasks, path)
-    assert workload_from_csv(path) == tasks
