@@ -5,9 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from types import UnionType
+from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .cluster import generate_cluster
 from .marl import DrlScheduler, Hyperparams, save_checkpoint
@@ -60,23 +61,36 @@ class ExperimentConfig:
 
     @classmethod
     def from_flat(cls, raw: dict) -> "ExperimentConfig":
-        """Top-level keys by name, ``sim.<field>`` and ``hyper.<field>`` for the
-        nested sections; any other key is a ``ValueError``."""
+        """Top-level keys by name, ``sim.<field>`` and ``hyper.<field>`` for the nested
+        sections; an unknown key, or a value that does not ``_fits``, is a ``ValueError``."""
         cfg = cls()
-        sections = {"sim": {}, "hyper": {}}
-        top = {f.name for f in fields(cls)} - sections.keys()
-        updates = {}
+        hints = {"": get_type_hints(cls), "sim.": get_type_hints(SimConfig),
+                 "hyper.": get_type_hints(Hyperparams)}
+        del hints[""]["sim"], hints[""]["hyper"]
+        updates = {prefix: {} for prefix in hints}
         for key, value in raw.items():
-            section, _, name = key.rpartition(".")
-            if section in sections and name in {f.name for f in fields(getattr(cfg, section))}:
-                sections[section][name] = value
-            elif key in top:
-                updates[key] = tuple(value) if key in ("schedulers", "priority_mix") else value
-            else:
+            section, dot, name = key.rpartition(".")
+            hint = hints.get(section + dot, {}).get(name)
+            if hint is None:
                 raise ValueError(f"unknown config key: {key}")
-        for section, section_updates in sections.items():
-            updates[section] = replace(getattr(cfg, section), **section_updates)
-        return replace(cfg, **updates)
+            if not _fits(value, hint):
+                kind = (f"a list of {get_args(hint)[0].__name__}" if get_origin(hint) is tuple
+                        else getattr(hint, "__name__", hint))
+                raise ValueError(f"config key {key} must be {kind}, not {json.dumps(value)}")
+            updates[section + dot][name] = tuple(value) if isinstance(value, list) else value
+        return replace(cfg, **updates[""], sim=replace(cfg.sim, **updates["sim."]),
+                       hyper=replace(cfg.hyper, **updates["hyper."]))
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: an int fits float, a bool only
+    bool, null only an annotation allowing None, a list a tuple of its element type."""
+    if isinstance(hint, UnionType):
+        return any(_fits(value, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    types = (int, float) if hint is float else hint
+    return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
 
 
 @dataclass

@@ -5,13 +5,14 @@ forward and backward passes), decisions combine the learned policy with
 priority/urgency and load heuristics, and learning uses TD-error-prioritized
 replay with plain gradient steps and a decaying learning rate. The agent
 population is held as one set of stacked arrays, so a step builds every
-observation and runs every agent's forward pass in one call each.
+observation and runs every agent's forward pass in one call each; each
+agent's replay keeps its transitions as array rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -215,79 +216,89 @@ def compute_step_reward(report: StepReport, state: SimState, h: Hyperparams) -> 
     return r
 
 
-@dataclass
-class Transition:
-    agent_id: int
+class Experience(NamedTuple):
+    """Transitions as rows: ``obs``/``next_obs`` (n, obs_dim), ``action``, ``reward``
+    and ``alive`` (n,); a terminal row has ``alive`` 0.0 and its ``next_obs`` is
+    unused. One transition is the same tuple without the leading axis."""
+
     obs: np.ndarray
-    action: int
-    reward: float
     next_obs: np.ndarray
-    terminal: bool
-    priority: float = 0.0
+    action: np.ndarray
+    reward: np.ndarray
+    alive: np.ndarray
 
 
-def td_error(params: AgentParams, tr: Transition, gamma: float) -> float:
-    """delta = r + gamma * V(o') * (not terminal) - V(o)."""
-    _, v, _ = forward(params, tr.obs)
-    if tr.terminal:
-        return tr.reward - v
-    _, v_next, _ = forward(params, tr.next_obs)
-    return tr.reward + gamma * v_next - v
+def td_error(agents: AgentParams, ids: np.ndarray, rows: Experience, gamma: float) -> np.ndarray:
+    """delta = r + gamma * V(o') * alive - V(o) per row k, V being agent ``ids[k]``'s
+    value head: one stacked pass over parameters gathered per row, with
+    ``forward``'s expressions (so the same bits), and no policy head."""
+    both = np.concatenate([ids, ids])
+    x = np.concatenate([rows.obs, rows.next_obs])
+    hidden = np.maximum((agents.W1[both] @ x[..., None])[..., 0] + agents.b1[both], 0.0)
+    v, v_next = np.split((agents.Wv[both][..., None, :] @ hidden[..., None])[..., 0, 0]
+                         + agents.bv[both], 2)
+    delta = rows.reward + gamma * v_next * rows.alive - v
+    if not np.all(np.isfinite(delta)):
+        raise FloatingPointError("non-finite TD error")
+    return delta
 
 
 class ReplayBuffer:
-    """Ring buffer with TD-error-proportional sampling (exponent 0.6).
-
-    Priorities are kept beside the transitions in a float array, slot for slot.
-    """
+    """Ring of transitions with TD-error-proportional sampling (exponent 0.6).
+    ``rows`` and ``priorities`` are arrays, slot for slot, that start at one row
+    and double up to ``capacity``, so a buffer with few transitions stays small."""
 
     def __init__(self, capacity: int, per_epsilon: float, per_exponent: float):
         self.capacity = capacity
         self.per_epsilon = per_epsilon
         self.per_exponent = per_exponent
-        self._items: list[Transition] = []
-        self._priorities = np.zeros(capacity)
+        self.rows: Experience | None = None
+        self.priorities = np.zeros(0)
+        self._size = 0
         self._next = 0
 
     def __len__(self):
-        return len(self._items)
+        return self._size
 
-    def add(self, tr: Transition, delta: float) -> None:
-        tr.priority = abs(delta) + self.per_epsilon
-        if len(self._items) < self.capacity:
-            slot = len(self._items)
-            self._items.append(tr)
-        else:
+    def add(self, row: Experience, delta: float) -> None:
+        """Store one transition with priority |delta| + per_epsilon."""
+        if self._size == self.capacity:
             slot = self._next
-            self._items[slot] = tr
-            self._next = (self._next + 1) % self.capacity
-        self._priorities[slot] = tr.priority
+            self._next = (slot + 1) % self.capacity
+        else:
+            slot = self._size
+            if slot == len(self.priorities):   # full: double, the first row sets the shapes
+                n = min(2 * slot or 1, self.capacity)
+                columns = self.rows or [np.zeros((0,) + np.shape(v), np.asarray(v).dtype) for v in row]
+                grown = [np.concatenate([c, np.zeros((n - len(c),) + c.shape[1:], c.dtype)])
+                         for c in (*columns, self.priorities)]
+                self.rows, self.priorities = Experience(*grown[:-1]), grown[-1]
+            self._size += 1
+        for column, value in zip(self.rows, row):
+            column[slot] = value
+        self.priorities[slot] = abs(delta) + self.per_epsilon
 
-    def sample(self, batch_size: int, s: RngStream) -> list[Transition]:
-        if not self._items:
+    def sample(self, batch_size: int, s: RngStream) -> Experience:
+        if not self._size:
             raise RuntimeError("cannot sample from an empty replay buffer")
-        weights = self._priorities[: len(self._items)] ** self.per_exponent
+        weights = self.priorities[: self._size] ** self.per_exponent
         cum = np.cumsum(weights / weights.sum())
         draws = s.uniform_array(batch_size)
-        idx = np.minimum(np.searchsorted(cum, draws, side="right"), len(self._items) - 1)
-        return [self._items[i] for i in idx]
+        idx = np.minimum(np.searchsorted(cum, draws, side="right"), self._size - 1)
+        return Experience(*(column[idx] for column in self.rows))
 
 
-def apply_update(params: AgentParams, batch: Sequence[Transition], gamma: float,
+def apply_update(params: AgentParams, batch: Experience, gamma: float,
                  grad_clip_norm: float | None = None,
                  lr_decay: float = Hyperparams.lr_decay) -> None:
     """One averaged semi-gradient step: policy ascent on log-prob times
     advantage, value descent on squared TD error; then decay the rate by
     ``lr_decay``. Parameters are updated in place, so ``params`` may be views
     into a population (``AgentParams.agent``)."""
-    if not batch:
+    obs, nxt, actions, rewards, alive = batch
+    n = len(actions)
+    if not n:
         raise ValueError("batch must be nonempty")
-    obs = np.stack([t.obs for t in batch])
-    nxt = np.stack([t.next_obs for t in batch])
-    actions = np.array([t.action for t in batch])
-    rewards = np.array([t.reward for t in batch])
-    alive = np.array([0.0 if t.terminal else 1.0 for t in batch])
-    n = len(batch)
 
     h_pre = obs @ params.W1.T + params.b1
     hid = np.maximum(h_pre, 0.0)
@@ -342,8 +353,7 @@ def decay_explore(epsilon: float, h: Hyperparams) -> float:
 
 
 def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
-    """The population's arrays, uncompressed, plus a shape/episode header;
-    parameter-count validated on load."""
+    """The population's arrays, uncompressed, plus a shape/episode header."""
     _, hidden, obs_dim = agents.W1.shape
     n_actions = agents.W2.shape[1]
     np.savez(
@@ -359,23 +369,6 @@ def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
     )
 
 
-def load_checkpoint(path) -> tuple[list[AgentParams], dict]:
-    data = np.load(path)
-    obs_dim, hidden, n_actions, episode = (int(x) for x in data["header"])
-    agents = []
-    for i in range(data["W1"].shape[0]):
-        a = AgentParams(
-            W1=data["W1"][i], b1=data["b1"][i], W2=data["W2"][i],
-            b2=data["b2"][i], Wv=data["Wv"][i], bv=float(data["bv"][i]),
-            current_lr=float(data["lrs"][i]),
-        )
-        expected = expected_param_count(obs_dim, hidden, n_actions)
-        if a.n_params != expected:
-            raise ValueError(f"checkpoint agent {i} has {a.n_params} parameters, expected {expected}")
-        agents.append(a)
-    return agents, {"obs_dim": obs_dim, "hidden": hidden, "n_actions": n_actions, "episode": episode}
-
-
 class DrlScheduler(Scheduler):
     """Scheduler interface around the agent population.
 
@@ -387,7 +380,6 @@ class DrlScheduler(Scheduler):
 
     def __init__(self, master_seed: int, n_nodes: int, h: Hyperparams | None = None, train: bool = True):
         self.h = h or Hyperparams()
-        self.n_nodes = n_nodes
         self.train = train
         self.agents = stack_agents([
             init_agent(derive_stream(master_seed, f"agent-init-{i}"), self.h, OBS_DIM, n_nodes)
@@ -399,14 +391,15 @@ class DrlScheduler(Scheduler):
         ]
         self.explore_epsilon = self.h.explore_epsilon_start
         self.episodes_seen = 0
-        self._stream: RngStream | None = None
-        self._current: list[tuple[int, np.ndarray, int]] = []   # this step's (agent, obs, action)
-        self._awaiting: list[Transition] = []                   # reward set, next_obs pending
+        self.reset(None)
 
     def reset(self, state, stream=None):
         self._stream = stream
-        self._current = []
-        self._awaiting = []
+        # This step's placements (agent ids, copied observation rows), stored once
+        # the step reward (after the advance) and the next rows (next assign) are known.
+        self._placed = np.zeros(0, dtype=int)
+        self._placed_obs = np.zeros((0, OBS_DIM))
+        self._reward = 0.0
 
     def _train_eligible(self):
         for i, buf in enumerate(self.buffers):
@@ -415,48 +408,40 @@ class DrlScheduler(Scheduler):
                 apply_update(self.agents.agent(i), batch, self.h.gamma, self.h.grad_clip_norm,
                              self.h.lr_decay)
 
-    def _add(self, tr: Transition) -> None:
-        self.buffers[tr.agent_id].add(tr, td_error(self.agents.agent(tr.agent_id), tr, self.h.gamma))
+    def _store_placed(self, next_obs: np.ndarray, alive: float) -> None:
+        """Store the staged placements in their agents' replay, then clear them."""
+        ids, n = self._placed, len(self._placed)
+        rows = Experience(self._placed_obs, next_obs, ids, np.full(n, self._reward), np.full(n, alive))
+        deltas = td_error(self.agents, ids, rows, self.h.gamma)
+        for k in range(n):
+            self.buffers[ids[k]].add(Experience(*(column[k] for column in rows)), deltas[k])
+        self._placed, self._placed_obs = ids[:0], self._placed_obs[:0]
 
     def assign(self, state, pending):
         if self.train:
             self._train_eligible()
-        if not pending and not self._awaiting:
+        if not pending and not len(self._placed):
             return []
-        # Transitions copy their rows: a row view would keep this step's whole
-        # observation array alive in replay.
         observations = build_observation(state)
-        for tr in self._awaiting:
-            tr.next_obs = observations[tr.agent_id].copy()
-            self._add(tr)
-        self._awaiting = []
+        if len(self._placed):
+            self._store_placed(observations[self._placed], 1.0)
         if not pending:
             return []
         policy, _, _ = forward(self.agents, observations)
         self_probs = policy.diagonal()
         eps = self.explore_epsilon if self.train else 0.0
         decisions = select_assignments(state, pending, self_probs, self._stream, self.h, eps)
-        for d in decisions:
-            if d.node_id is not None:
-                self._current.append((d.node_id, observations[d.node_id].copy(), d.node_id))
+        self._placed = np.array([d.node_id for d in decisions if d.node_id is not None], dtype=int)
+        self._placed_obs = observations[self._placed]
         return decisions
 
     def after_advance(self, state, report):
-        if not self._current:
-            return
-        reward = compute_step_reward(report, state, self.h)
-        for agent_id, obs, action in self._current:
-            self._awaiting.append(Transition(agent_id, obs, action, reward, obs, False))
-        self._current = []
+        if len(self._placed):
+            self._reward = compute_step_reward(report, state, self.h)
 
     def end_episode(self, state):
-        zero = np.zeros(OBS_DIM)
-        for tr in self._awaiting:
-            tr.next_obs = zero
-            tr.terminal = True
-            self._add(tr)
-        self._awaiting = []
-        self._current = []
+        if len(self._placed):
+            self._store_placed(np.zeros_like(self._placed_obs), 0.0)
         if self.train:
             self.explore_epsilon = decay_explore(self.explore_epsilon, self.h)
         self.episodes_seen += 1

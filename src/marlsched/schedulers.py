@@ -20,10 +20,6 @@ class SchedulerDecision:
     task_id: int
     node_id: int | None  # None = leave pending this step
 
-    @property
-    def rejected(self) -> bool:
-        return self.node_id is None
-
 
 class Scheduler:
     """Per-episode scheduler interface shared by baselines and the DRL scheduler."""

@@ -5,11 +5,11 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import t as t_dist
 
 
 def welch_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Unequal-variance two-sample t statistic and two-sided p-value."""
+    from scipy.stats import t as t_dist  # on first use: importing scipy.stats is slow
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if len(a) < 2 or len(b) < 2:
@@ -28,6 +28,7 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
 
 def confidence_interval_95(samples: Sequence[float]) -> tuple[float, float]:
     """mean +/- t_{0.975, n-1} * s / sqrt(n)."""
+    from scipy.stats import t as t_dist
     x = np.asarray(samples, dtype=float)
     if len(x) < 2:
         raise ValueError("need at least 2 samples")

@@ -17,11 +17,11 @@ from marlsched.experiment import ExperimentConfig, make_scheduler, run_episode
 from marlsched.marl import (
     DrlScheduler,
     Hyperparams,
-    Transition,
     apply_update,
     expected_param_count,
     forward,
     init_agent,
+    stack_agents,
     td_error,
 )
 from marlsched.cli import main as cli_main
@@ -35,7 +35,7 @@ from marlsched.simenv import OBS_DIM, SimConfig, advance, enqueue_assignment, in
 from marlsched.stats import confidence_interval_95, welch_t_test
 from marlsched.workload import Task, deadline_for, generate_workload
 
-from test_marl import copy_params, small_hyper, surrogate_loss
+from test_marl import copy_params, random_batch, small_hyper, surrogate_loss, td_targets
 
 
 def _criterion(name: str, checks: list[tuple[str, bool]]) -> None:
@@ -154,14 +154,9 @@ def test_p3_network_correctness():
     worst_rel = 0.0
     for trial in range(100):
         net = init_agent(derive_stream(trial, "p3-fd"), h, 6, 3)
-        batch = [
-            Transition(0, rng.random(6), int(rng.integers(3)),
-                       float(rng.normal()), rng.random(6), bool(rng.random() < 0.2))
-            for _ in range(4)
-        ]
-        deltas = [td_error(net, tr, 0.99) for tr in batch]
-        targets = [tr.reward if tr.terminal
-                   else tr.reward + 0.99 * forward(net, tr.next_obs)[1] for tr in batch]
+        batch = random_batch(rng)
+        deltas = td_error(stack_agents([net]), np.zeros(4, dtype=int), batch, 0.99)
+        targets = td_targets(net, batch)
         before = copy_params(net)
         lr = net.current_lr
         apply_update(net, batch, gamma=0.99, grad_clip_norm=None)

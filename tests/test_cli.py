@@ -1,11 +1,16 @@
 """Config parsing, CLI commands, persistence determinism and plot emission."""
 
 import json
+import operator
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import marlsched
 from marlsched import experiment
 from marlsched.cli import main
 from marlsched.experiment import (
@@ -46,6 +51,40 @@ class TestExperimentConfig:
     def test_unknown_nested_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"^unknown config key: {re.escape(key)}$"):
             ExperimentConfig.from_flat({key: 7})
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"n_nodes": "3"}, 'config key n_nodes must be int, not "3"'),
+        ({"n_nodes": True}, "config key n_nodes must be int, not true"),
+        ({"n_nodes": 3.0}, "config key n_nodes must be int, not 3.0"),
+        ({"schedulers": "drl"}, 'config key schedulers must be a list of str, not "drl"'),
+        ({"schedulers": ["drl", 1]}, 'config key schedulers must be a list of str, not ["drl", 1]'),
+        ({"priority_mix": 0.5}, "config key priority_mix must be a list of float, not 0.5"),
+        ({"priority_mix": [0.5, True, 0.5]},
+         "config key priority_mix must be a list of float, not [0.5, true, 0.5]"),
+        ({"hyper.gamma": "0.9"}, 'config key hyper.gamma must be float, not "0.9"'),
+        ({"hyper.gamma": None}, "config key hyper.gamma must be float, not null"),
+        ({"hyper.gamma": False}, "config key hyper.gamma must be float, not false"),
+        ({"hyper.grad_clip_norm": "10"},
+         'config key hyper.grad_clip_norm must be float | None, not "10"'),
+        ({"sim.dt": None}, "config key sim.dt must be float, not null"),
+        ({"trace": 1}, "config key trace must be bool, not 1"),
+        ({"output_dir": 5}, "config key output_dir must be str, not 5"),
+    ])
+    def test_value_of_wrong_type_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_flat(raw)
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("hyper.gamma", 1, 1),
+        ("sim.dt", 2, 2),
+        ("hyper.grad_clip_norm", None, None),
+        ("hyper.grad_clip_norm", 3, 3),
+        ("priority_mix", [1, 0.0, 0], (1, 0.0, 0)),
+        ("schedulers", ["minmin"], ("minmin",)),
+        ("trace", True, True),
+    ])
+    def test_value_of_annotated_type_accepted(self, key, value, expected):
+        assert operator.attrgetter(key)(ExperimentConfig.from_flat({key: value})) == expected
 
     def test_window_must_fit(self):
         with pytest.raises(ValueError):
@@ -159,6 +198,16 @@ class TestCliRun:
         assert rc == 2
         assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
 
+    @pytest.mark.parametrize("raw", [{"n_nodes": "3"}, {"schedulers": "drl"}, {"hyper.gamma": "0.9"}])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        rc = main(["run", "--config", str(cfg), "--episodes", "1", "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {next(iter(raw))} must be ")
+        assert err.count("\n") == 1
+
     def test_trace_file_emitted(self, tmp_path):
         rc = main(["run", "--scheduler", "minmin", "--episodes", "1", "--seed", "1",
                    "--nodes", "6", "--tasks", "15", "--out", str(tmp_path), "--trace"])
@@ -231,3 +280,14 @@ class TestCliPlot:
         outcomes = emit_all(tmp_path, ("random", "drl"), 2)
         assert set(outcomes) == {"learning_curve.svg", "comparison.svg", "improvement.svg"}
         assert all(v is not None for v in outcomes.values())
+
+
+def test_cli_import_does_not_load_scipy():
+    """scipy.stats is slow to import; only the statistics functions load it."""
+    src = str(Path(marlsched.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, marlsched.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    assert done.stdout.strip() == "[]"

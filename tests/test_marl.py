@@ -7,9 +7,9 @@ from marlsched.cluster import NodeSpec
 from marlsched.marl import (
     AgentParams,
     DrlScheduler,
+    Experience,
     Hyperparams,
     ReplayBuffer,
-    Transition,
     apply_update,
     assignment_score,
     compute_step_reward,
@@ -17,7 +17,6 @@ from marlsched.marl import (
     expected_param_count,
     forward,
     init_agent,
-    load_checkpoint,
     priority_score,
     save_checkpoint,
     select_assignments,
@@ -25,7 +24,9 @@ from marlsched.marl import (
     td_error,
 )
 from marlsched.rng import derive_stream
-from marlsched.simenv import OBS_DIM, CompletionRecord, SimConfig, StepReport, init_episode
+from marlsched.simenv import (
+    OBS_DIM, CompletionRecord, SimConfig, StepReport, build_observation, init_episode,
+)
 from marlsched.workload import Task, deadline_for
 
 H = Hyperparams()
@@ -187,7 +188,7 @@ class TestSelection:
         decisions = select_assignments(state, [state.tasks[0], state.tasks[1]],
                                        np.zeros(1), None, H, 0.0)
         by_id = {d.task_id: d for d in decisions}
-        assert by_id[0].rejected and by_id[1].node_id == 0
+        assert by_id[0].node_id is None and by_id[1].node_id == 0
 
     def test_greedy_is_deterministic_without_exploration(self):
         ts = [task(i, cpu=1.0) for i in range(4)]
@@ -241,45 +242,88 @@ class TestReward:
         assert r == pytest.approx(15.0 * 3 + (100.0 - 0.5 * 40.0))
 
 
+def rows(*transitions):
+    """An ``Experience`` from (obs, action, reward, next_obs, terminal) tuples."""
+    obs, action, reward, next_obs, terminal = zip(*transitions)
+    return Experience(np.array(obs, dtype=float), np.array(next_obs, dtype=float),
+                      np.array(action), np.array(reward, dtype=float),
+                      1.0 - np.array(terminal, dtype=float))
+
+
+def random_batch(rng, n=4):
+    """n random transitions for a 6-input, 3-action net, drawn row by row."""
+    return rows(*[(rng.random(6), int(rng.integers(3)), float(rng.normal()), rng.random(6),
+                   bool(rng.random() < 0.2)) for _ in range(n)])
+
+
+def row(i, obs_dim=2):
+    """One transition whose every field carries the marker i."""
+    return Experience(np.full(obs_dim, float(i)), np.full(obs_dim, -float(i)), i, float(i), 1.0)
+
+
 class TestTdError:
     def test_simple_substitution(self):
         h = small_hyper()
-        tr = Transition(0, np.zeros(6), 0, 1.0, np.zeros(6), False)
-        assert td_error(zero_agent(h, 6, 3), tr, 0.99) == pytest.approx(1.0)
+        tr = rows((np.zeros(6), 0, 1.0, np.zeros(6), False))
+        assert td_error(stack_agents([zero_agent(h, 6, 3)]), [0], tr, 0.99) == pytest.approx(1.0)
 
     def test_terminal_no_bootstrap(self):
         h = small_hyper()
         agent = zero_agent(h, 6, 3)
         agent.bv = 0.5
-        tr = Transition(0, np.zeros(6), 0, 2.0, np.ones(6), True)
-        assert td_error(agent, tr, 0.99) == pytest.approx(1.5)
+        tr = rows((np.zeros(6), 0, 2.0, np.ones(6), True))
+        assert td_error(stack_agents([agent]), [0], tr, 0.99) == pytest.approx(1.5)
 
     def test_bootstrap_term(self):
         h = small_hyper()
         agent = zero_agent(h, 6, 3)
         agent.bv = 0.5
-        tr = Transition(0, np.zeros(6), 0, 1.0, np.ones(6), False)
-        assert td_error(agent, tr, 0.99) == pytest.approx(1.0 + 0.99 * 0.5 - 0.5)
+        tr = rows((np.zeros(6), 0, 1.0, np.ones(6), False))
+        assert td_error(stack_agents([agent]), [0], tr, 0.99) == pytest.approx(1.0 + 0.99 * 0.5 - 0.5)
 
+    def test_batched_rows_equal_per_row_forward(self):
+        """One call over rows of several agents (ids repeated, some rows
+        terminal) gives the bits of the per-row ``forward`` definition."""
+        rng = np.random.default_rng(11)
+        agents = stack_agents([init_agent(derive_stream(7, f"td-{i}"), H, OBS_DIM, 4)
+                               for i in range(4)])
+        agents.b1[:] = rng.normal(size=agents.b1.shape) * 0.1
+        agents.bv[:] = rng.normal(size=4)
+        ids = np.array([2, 0, 2, 3, 1, 2, 0, 3, 3])
+        terminal = np.array([False, True, False, False, True, False, False, True, False])
+        nxt = rng.random((len(ids), OBS_DIM))
+        nxt[terminal] = 0.0
+        batch = Experience(rng.random((len(ids), OBS_DIM)), nxt, ids,
+                           rng.normal(size=len(ids)) * 50, 1.0 - terminal)
+        deltas = td_error(agents, ids, batch, 0.99)
+        expected = []
+        for k, i in enumerate(ids):
+            v = forward(agents.agent(i), batch.obs[k])[1]
+            if terminal[k]:
+                expected.append(batch.reward[k] - v)
+            else:
+                expected.append(batch.reward[k] + 0.99 * forward(agents.agent(i), nxt[k])[1] - v)
+        assert np.array_equal(deltas, expected)
 
-def make_transition(priority_delta, obs_dim=6):
-    tr = Transition(0, np.zeros(obs_dim), 0, 0.0, np.zeros(obs_dim), False)
-    return tr, priority_delta
+    def test_non_finite_value_raises(self):
+        agents = stack_agents([zero_agent(small_hyper(), 6, 3) for _ in range(2)])
+        agents.bv[1] = np.nan
+        with pytest.raises(FloatingPointError):
+            td_error(agents, [0, 1], rows(*[(np.zeros(6), 0, 1.0, np.zeros(6), False)] * 2), 0.99)
 
 
 class TestReplayBuffer:
     def test_zero_delta_priority_floor(self):
         buf = ReplayBuffer(10, 0.01, 0.6)
-        tr, d = make_transition(0.0)
-        buf.add(tr, d)
-        assert tr.priority == pytest.approx(0.01)
+        buf.add(row(0), 0.0)
+        assert buf.priorities[0] == pytest.approx(0.01)
 
     def test_singleton_always_sampled(self):
         buf = ReplayBuffer(10, 0.01, 0.6)
-        tr, d = make_transition(1.0)
-        buf.add(tr, d)
-        s = derive_stream(0, "replay")
-        assert all(x is tr for x in buf.sample(32, s))
+        buf.add(row(3), 1.0)
+        batch = buf.sample(32, derive_stream(0, "replay"))
+        assert all(np.array_equal(column, np.stack([value] * 32))
+                   for column, value in zip(batch, row(3)))
 
     def test_empty_buffer_raises(self):
         with pytest.raises(RuntimeError):
@@ -287,42 +331,70 @@ class TestReplayBuffer:
 
     def test_overwritten_slot_takes_new_priority(self):
         buf = ReplayBuffer(2, 0.01, 0.6)
-        old = Transition(0, np.zeros(2), 0, 0.0, np.zeros(2), False)
-        buf.add(old, 99.99)
-        buf.add(Transition(1, np.zeros(2), 0, 0.0, np.zeros(2), False), 1.0)
-        buf.add(Transition(2, np.zeros(2), 0, 0.0, np.zeros(2), False), 1.0)   # replaces old
+        buf.add(row(0), 99.99)
+        buf.add(row(1), 1.0)
+        buf.add(row(2), 1.0)   # replaces row 0
         sampled = buf.sample(10_000, derive_stream(0, "replay-overwrite"))
-        counts = np.bincount([t.agent_id for t in sampled], minlength=3)
+        counts = np.bincount(sampled.action, minlength=3)
         assert counts[0] == 0
         assert abs(counts[1] / 10_000.0 - 0.5) <= 0.02
 
     def test_ring_overwrite(self):
         buf = ReplayBuffer(3, 0.01, 0.6)
-        trs = [Transition(i, np.zeros(2), 0, 0.0, np.zeros(2), False) for i in range(4)]
-        for tr in trs:
-            buf.add(tr, 1.0)
+        for i in range(4):
+            buf.add(row(i), 1.0)
         assert len(buf) == 3
-        assert trs[0] not in buf._items and trs[3] in buf._items
+        assert 0 not in buf.rows.action and 3 in buf.rows.action
+
+    def test_ring_order_and_priorities_across_growth_and_overwrite(self):
+        """Slot for slot, every column and the priorities match a list ring
+        after each add: through the doublings 1, 2, 4, 8 and the cap at 11,
+        then two full laps of overwrites."""
+        cap = 11
+        buf = ReplayBuffer(cap, 0.01, 0.6)
+        ring, nxt = [], 0
+        for i in range(cap + 2 * cap + 3):
+            delta = (-1) ** i * 0.5 * i
+            buf.add(row(i), delta)
+            if len(ring) < cap:
+                ring.append((i, delta))
+            else:
+                ring[nxt] = (i, delta)
+                nxt = (nxt + 1) % cap
+            n = len(ring)
+            assert len(buf) == n <= len(buf.priorities) <= cap
+            for column, expected in zip(buf.rows, zip(*(row(i) for i, _ in ring))):
+                assert np.array_equal(column[:n], np.stack(expected))
+            assert np.array_equal(buf.priorities[:n], [abs(d) + 0.01 for _, d in ring])
+        batch = buf.sample(200, derive_stream(0, "replay-rows"))
+        assert np.array_equal(batch.obs[:, 0], batch.action)
+        assert np.array_equal(batch.reward, batch.action)
+        assert np.array_equal(batch.next_obs, -batch.obs)
+
+    def test_arrays_grow_with_content(self):
+        buf = ReplayBuffer(10_000, 0.01, 0.6)
+        for i in range(3):
+            buf.add(row(i, OBS_DIM), 1.0)
+        assert len(buf) == 3
+        assert len(buf.priorities) < 10_000 and all(len(column) < 10_000 for column in buf.rows)
 
     def test_equal_priorities_uniform(self):
         buf = ReplayBuffer(10, 0.01, 0.6)
         for i in range(5):
-            buf.add(Transition(i, np.zeros(2), 0, 0.0, np.zeros(2), False), 1.0)
+            buf.add(row(i), 1.0)
         s = derive_stream(0, "replay-uniform")
         sampled = buf.sample(100_000, s)
-        counts = np.bincount([t.agent_id for t in sampled], minlength=5)
+        counts = np.bincount(sampled.action, minlength=5)
         assert np.all(np.abs(counts / 100_000.0 - 0.2) <= 0.01)
 
     def test_priority_proportional_sampling(self):
         buf = ReplayBuffer(10, 0.01, 0.6)
-        lo = Transition(0, np.zeros(2), 0, 0.0, np.zeros(2), False)
-        hi = Transition(1, np.zeros(2), 0, 0.0, np.zeros(2), False)
-        buf.add(lo, 0.0)       # priority 0.01
-        buf.add(hi, 99.99)     # priority 100
+        buf.add(row(0), 0.0)       # priority 0.01
+        buf.add(row(1), 99.99)     # priority 100
         expected = 100.0**0.6 / (100.0**0.6 + 0.01**0.6)
         s = derive_stream(0, "replay-per")
         sampled = buf.sample(100_000, s)
-        frac_hi = sum(1 for t in sampled if t is hi) / 100_000.0
+        frac_hi = np.count_nonzero(sampled.action == 1) / 100_000.0
         assert frac_hi == pytest.approx(expected, abs=0.005)
 
 
@@ -330,10 +402,16 @@ def surrogate_loss(params, batch, deltas, targets):
     """The objective whose gradient the update step follows, with the
     advantage and critic target frozen."""
     total = 0.0
-    for tr, d, tgt in zip(batch, deltas, targets):
-        policy, v, _ = forward(params, tr.obs)
-        total += -d * np.log(policy[tr.action]) + 0.5 * (v - tgt) ** 2
-    return total / len(batch)
+    for obs, action, d, tgt in zip(batch.obs, batch.action, deltas, targets):
+        policy, v, _ = forward(params, obs)
+        total += -d * np.log(policy[action]) + 0.5 * (v - tgt) ** 2
+    return total / len(batch.action)
+
+
+def td_targets(params, batch):
+    """r, or r + 0.99 * V(o') on a non-terminal row, by per-row ``forward``."""
+    return [r if not alive else r + 0.99 * forward(params, nxt)[1]
+            for r, nxt, alive in zip(batch.reward, batch.next_obs, batch.alive)]
 
 
 def copy_params(p):
@@ -346,7 +424,7 @@ class TestApplyUpdate:
         h = small_hyper()
         agent = zero_agent(h, 6, 3)
         before = copy_params(agent)
-        batch = [Transition(0, np.ones(6), 1, 0.0, np.ones(6), False) for _ in range(4)]
+        batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
         apply_update(agent, batch, gamma=0.99)
         assert np.array_equal(agent.W1, before.W1) and np.array_equal(agent.W2, before.W2)
         assert np.array_equal(agent.Wv, before.Wv) and agent.bv == before.bv
@@ -354,14 +432,16 @@ class TestApplyUpdate:
 
     def test_learning_rate_decays_by_lr_decay(self):
         agent = zero_agent(small_hyper(), 6, 3)
-        batch = [Transition(0, np.ones(6), 1, 0.0, np.ones(6), False) for _ in range(4)]
+        batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
         apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
         apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
         assert agent.current_lr == pytest.approx(0.001 * 0.81)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            apply_update(zero_agent(small_hyper(), 6, 3), [], gamma=0.99)
+            empty = Experience(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0, dtype=int),
+                               np.zeros(0), np.zeros(0))
+            apply_update(zero_agent(small_hyper(), 6, 3), empty, gamma=0.99)
 
     def test_gradient_matches_finite_differences(self):
         """Analytic backprop vs central differences on 100 random small nets."""
@@ -370,15 +450,9 @@ class TestApplyUpdate:
         step = 1e-5
         for trial in range(100):
             agent = init_agent(derive_stream(trial, "fd-agent"), h, 6, 3)
-            batch = [
-                Transition(0, rng.random(6), int(rng.integers(3)),
-                           float(rng.normal()), rng.random(6), bool(rng.random() < 0.2))
-                for _ in range(4)
-            ]
-            deltas = [td_error(agent, tr, 0.99) for tr in batch]
-            targets = [tr.reward if tr.terminal
-                       else tr.reward + 0.99 * forward(agent, tr.next_obs)[1]
-                       for tr in batch]
+            batch = random_batch(rng)
+            deltas = td_error(stack_agents([agent]), np.zeros(4, dtype=int), batch, 0.99)
+            targets = td_targets(agent, batch)
 
             before = copy_params(agent)
             lr = agent.current_lr
@@ -414,7 +488,7 @@ class TestApplyUpdate:
     def test_gradient_clipping_bounds_step(self):
         h = small_hyper()
         agent = init_agent(derive_stream(0, "clip"), h, 6, 3)
-        batch = [Transition(0, np.ones(6), 0, 1000.0, np.ones(6), True) for _ in range(4)]
+        batch = rows(*[(np.ones(6), 0, 1000.0, np.ones(6), True)] * 4)
         before = copy_params(agent)
         lr = agent.current_lr
         apply_update(agent, batch, gamma=0.99, grad_clip_norm=1.0)
@@ -444,28 +518,16 @@ class TestExplorationDecay:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         h = small_hyper()
-        agents = [init_agent(derive_stream(s, "ckpt"), h, 6, 3) for s in range(3)]
-        agents[1].current_lr = 0.0005
+        agents = stack_agents([init_agent(derive_stream(s, "ckpt"), h, 6, 3) for s in range(3)])
+        agents.current_lr[1] = 0.0005
         path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, stack_agents(agents), episode=7)
-        loaded, meta = load_checkpoint(path)
-        assert meta == {"obs_dim": 6, "hidden": 4, "n_actions": 3, "episode": 7}
-        for a, b in zip(agents, loaded):
-            assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
-            assert np.array_equal(a.Wv, b.Wv) and a.bv == b.bv
-            assert a.current_lr == b.current_lr
-
-    def test_parameter_count_validated(self, tmp_path):
-        h = small_hyper()
-        agents = stack_agents([init_agent(derive_stream(0, "ckpt"), h, 6, 3)])
-        path = tmp_path / "ckpt.npz"
-        save_checkpoint(path, agents, episode=0)
-        data = dict(np.load(path))
-        data["header"] = np.array([6, 8, 3, 0], dtype=np.int64)  # wrong hidden size
-        bad = tmp_path / "bad.npz"
-        np.savez(bad, **data)
-        with pytest.raises(ValueError):
-            load_checkpoint(bad)
+        save_checkpoint(path, agents, episode=7)
+        data = np.load(path)
+        assert sorted(data.files) == ["W1", "W2", "Wv", "b1", "b2", "bv", "header", "lrs"]
+        assert data["header"].tolist() == [6, 4, 3, 7] and data["header"].dtype == np.int64
+        for name in ("W1", "b1", "W2", "b2", "Wv", "bv"):
+            assert np.array_equal(data[name], getattr(agents, name))
+        assert np.array_equal(data["lrs"], agents.current_lr)
 
 
 class TestDrlScheduler:
@@ -519,3 +581,38 @@ class TestDrlScheduler:
         run_episode(sched, cfg, 0)
         assert sched.episodes_seen == 1
         assert sched.explore_epsilon == pytest.approx(eps0 * 0.995)
+
+    def test_stored_rows_are_the_placements(self):
+        """Each agent's replay holds its placements in order: the observation
+        row it placed from, action = its id, the step reward, and its row at the
+        next assign, or all zeros with alive = 0 after the episode's last step."""
+        from marlsched.experiment import ExperimentConfig, run_episode
+
+        cfg = ExperimentConfig(master_seed=3, n_nodes=4, n_tasks=60, episodes=1, final_window=1,
+                               sim=SimConfig(max_time=60.0))
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
+        calls, placements = [], []     # observations per assign call; (call, agent)
+        assign = sched.assign
+
+        def recording(state, pending):
+            calls.append(build_observation(state))
+            decisions = assign(state, pending)
+            placements.extend((len(calls) - 1, d.node_id) for d in decisions if d.node_id is not None)
+            return decisions
+
+        sched.assign = recording
+        run_episode(sched, cfg, 0)
+        last_call = len(calls) - 1
+        assert any(c == last_call for c, _ in placements)        # some rows are terminal
+        assert sum(len(b) for b in sched.buffers) == len(placements)
+        for i, buf in enumerate(sched.buffers):
+            mine = [c for c, a in placements if a == i]
+            assert len(buf) == len(mine)
+            for k, c in enumerate(mine):      # slot k: no slot is overwritten here
+                assert np.array_equal(buf.rows.obs[k], calls[c][i])
+                assert buf.rows.action[k] == i
+                if c == last_call:
+                    assert buf.rows.alive[k] == 0.0 and not buf.rows.next_obs[k].any()
+                else:
+                    assert buf.rows.alive[k] == 1.0
+                    assert np.array_equal(buf.rows.next_obs[k], calls[c + 1][i])

@@ -38,7 +38,7 @@ class TestRandom:
         sched = RandomScheduler()
         sched.reset(state, derive_stream(0, "r"))
         decisions = sched.assign(state, [task(0, cpu=2.0)])
-        assert decisions[0].rejected
+        assert decisions[0].node_id is None
 
     def test_uniformity_over_100_nodes(self):
         state = init_episode(SimConfig(), [], [node(i) for i in range(100)])
@@ -70,7 +70,7 @@ class TestWeightedRoundRobin:
         state = init_episode(SimConfig(), [], [node(0, cpu=1.0)])
         sched = WeightedRoundRobinScheduler()
         sched.reset(state)
-        assert sched.assign(state, [task(0, cpu=2.0)])[0].rejected
+        assert sched.assign(state, [task(0, cpu=2.0)])[0].node_id is None
 
     def test_capacity_proportional_shares(self):
         nodes = generate_cluster(derive_stream(42, "cl"), 100)
@@ -104,7 +104,7 @@ class TestPriorityMinMin:
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
         enqueue_assignment(state, 0, 0)
         sched = PriorityMinMinScheduler()
-        assert sched.assign(state, [state.tasks[1]])[0].rejected
+        assert sched.assign(state, [state.tasks[1]])[0].node_id is None
 
     def test_production_tasks_placed_first(self):
         ts = [task(0, cpu=3.0, priority=2), task(1, cpu=3.0, priority=0)]
@@ -112,7 +112,7 @@ class TestPriorityMinMin:
         sched = PriorityMinMinScheduler()
         decisions = {d.task_id: d for d in sched.assign(state, [state.tasks[0], state.tasks[1]])}
         assert decisions[1].node_id == 0      # Production task gets the slot
-        assert decisions[0].rejected          # Best-effort cannot start now
+        assert decisions[0].node_id is None  # Best-effort cannot start now
 
     def test_in_call_bookkeeping(self):
         """Assignments earlier in a call count toward load for later tasks."""
