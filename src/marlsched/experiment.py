@@ -51,6 +51,12 @@ class ExperimentConfig:
                                  f"choose from {', '.join(ALL_SCHEDULERS)}")
         if not self.episodes >= self.final_window >= 1:
             raise ValueError("need episodes >= final_window >= 1")
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if self.n_tasks < 1:
+            raise ValueError(f"n_tasks must be >= 1, got {self.n_tasks}")
+        if not self.arrival_rate > 0:
+            raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -63,6 +69,8 @@ class ExperimentConfig:
     def from_flat(cls, raw: dict) -> "ExperimentConfig":
         """Top-level keys by name, ``sim.<field>`` and ``hyper.<field>`` for the nested
         sections; an unknown key, or a value that does not ``_fits``, is a ``ValueError``."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"config must be a JSON object, not {json.dumps(raw)}")
         cfg = cls()
         hints = {"": get_type_hints(cls), "sim.": get_type_hints(SimConfig),
                  "hyper.": get_type_hints(Hyperparams)}

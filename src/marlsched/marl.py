@@ -56,6 +56,11 @@ class Hyperparams:
     energy_coef: float = 0.3
     balance_coef: float = 200.0
 
+    def __post_init__(self):
+        for name in ("replay_capacity", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"hyper.{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class AgentParams:

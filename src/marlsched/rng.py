@@ -88,13 +88,18 @@ def sample_exponential(s: RngStream, rate: float) -> float:
     return exponential_from_uniform(s.uniform(), rate)
 
 
-def sample_categorical(s: RngStream, weights) -> int:
-    """Index i such that the stream's uniform falls in the i-th cumulative bin."""
+def categorical_cdf(weights) -> np.ndarray:
+    """Cumulative bins of a categorical distribution; checks the weights."""
     w = np.asarray(weights, dtype=float)
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
+    return np.cumsum(w)
+
+
+def sample_categorical(s: RngStream, weights) -> int:
+    """Index i such that the stream's uniform falls in the i-th cumulative bin."""
+    cum = categorical_cdf(weights)
     u = s.uniform()
-    cum = np.cumsum(w)
-    return int(min(np.searchsorted(cum, u, side="right"), len(w) - 1))
+    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))

@@ -7,16 +7,16 @@ left pending this step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .rng import RngStream
 from .simenv import SimState, feasible_nodes
 from .workload import Task
 
 
-@dataclass(frozen=True)
-class SchedulerDecision:
+class SchedulerDecision(NamedTuple):
     task_id: int
     node_id: int | None  # None = leave pending this step
 
@@ -105,27 +105,37 @@ class PriorityMinMinScheduler(Scheduler):
     def assign(self, state, pending):
         order = sorted(pending, key=lambda t: (t.priority, t.arrival, t.id))
         # hypothetical load including assignments made earlier in this call
-        cpu_used = {n.spec.id: n.cpu_in_use for n in state.nodes}
-        mem_used = {n.spec.id: n.mem_in_use for n in state.nodes}
-        decisions = []
-        for task in order:
-            best, best_util = None, None
-            for node in state.nodes:
-                nid = node.spec.id
-                if (
-                    cpu_used[nid] + task.cpu <= node.spec.cpu_capacity
-                    and mem_used[nid] + task.mem <= node.spec.mem_capacity
-                ):
-                    util = cpu_used[nid] / node.spec.cpu_capacity
-                    if best is None or util < best_util:
-                        best, best_util = nid, util
-            if best is None:
-                decisions.append(SchedulerDecision(task.id, None))
-            else:
-                cpu_used[best] += task.cpu
-                mem_used[best] += task.mem
-                decisions.append(SchedulerDecision(task.id, best))
-        return decisions
+        cpu_used = [n.cpu_in_use for n in state.nodes]
+        mem_used = [n.mem_in_use for n in state.nodes]
+        cpu_cap, mem_cap = state.cpu_capacity.tolist(), state.mem_capacity.tolist()
+        util = np.array(cpu_used) / state.cpu_capacity
+        cpu = np.array([t.cpu for t in order])
+        mem = np.array([t.mem for t in order])
+        # fit[n, k]: task k fits node n's remaining capacity; n_fit[k] counts them.
+        # Usage only grows within a call, so a task that fits no node now never
+        # will, and a placement on node n can only clear entries of row n.
+        fit = ((np.add.outer(cpu_used, cpu) <= state.cpu_capacity[:, None])
+               & (np.add.outer(mem_used, mem) <= state.mem_capacity[:, None]))
+        n_fit = fit.sum(axis=0)
+        candidates = np.flatnonzero(n_fit)
+        fit, n_fit = fit[:, candidates], n_fit[candidates]
+        cpu, mem = cpu[candidates], mem[candidates]
+        chosen = [None] * len(order)
+        for j, (k, c, m) in enumerate(zip(candidates.tolist(), cpu.tolist(), mem.tolist())):
+            if not n_fit[j]:
+                continue
+            # first index of the least-utilized fitting node: the strict-< scan's pick
+            best = int(np.where(fit[:, j], util, np.inf).argmin())
+            chosen[k] = best
+            cpu_used[best] += c
+            mem_used[best] += m
+            util[best] = cpu_used[best] / cpu_cap[best]
+            row = fit[best, j + 1:]
+            still = ((cpu_used[best] + cpu[j + 1:] <= cpu_cap[best])
+                     & (mem_used[best] + mem[j + 1:] <= mem_cap[best]))
+            n_fit[j + 1:] -= row > still
+            row[...] = still
+        return [SchedulerDecision(task.id, nid) for task, nid in zip(order, chosen)]
 
 
 BASELINES = {

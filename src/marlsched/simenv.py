@@ -8,6 +8,7 @@ partial observation each node agent sees.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -92,13 +93,22 @@ class SimState:
     tasks: dict[int, Task]
     nodes: list[NodeState]
     time: float = 0.0
-    pending: list[int] = field(default_factory=list)  # arrived, unassigned, by arrival order
+    # arrived, unassigned task ids in arrival order; a dict (values None) so
+    # that membership and removal are O(1) and iteration keeps arrival order
+    pending: dict[int, None] = field(default_factory=dict)
     completions: list[CompletionRecord] = field(default_factory=list)
     dropped: list[int] = field(default_factory=list)
     util_variance_sum: float = 0.0
     steps: int = 0
     _arrival_order: list[int] = field(default_factory=list)
     _next_arrival_idx: int = 0
+    # static node capacities as arrays, indexed by node id
+    cpu_capacity: np.ndarray = field(init=False)
+    mem_capacity: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.cpu_capacity = np.array([n.spec.cpu_capacity for n in self.nodes], dtype=float)
+        self.mem_capacity = np.array([n.spec.mem_capacity for n in self.nodes], dtype=float)
 
     @property
     def n_nodes(self) -> int:
@@ -174,7 +184,7 @@ def enqueue_assignment(state: SimState, task_id: int, node_id: int) -> None:
     node = state.nodes[node_id]
     if task.cpu > node.spec.cpu_capacity or task.mem > node.spec.mem_capacity:
         raise ValueError(f"node {node_id} is statically infeasible for task {task_id}")
-    state.pending.remove(task_id)
+    del state.pending[task_id]
     node.queue.append(task_id)
     _try_admit(state, node, state.time)
 
@@ -185,7 +195,7 @@ def _reveal_arrivals(state: SimState, now: float) -> list[int]:
     while state._next_arrival_idx < len(order):
         tid = order[state._next_arrival_idx]
         if state.tasks[tid].arrival <= now:
-            state.pending.append(tid)
+            state.pending[tid] = None
             arrived.append(tid)
             state._next_arrival_idx += 1
         else:
@@ -238,10 +248,9 @@ def advance(state: SimState, dt: float) -> StepReport:
 
     # 4. deadline drops for never-assigned tasks
     dropped = [tid for tid in state.pending if state.tasks[tid].deadline < new_time]
-    if dropped:
-        drop_set = set(dropped)
-        state.pending = [tid for tid in state.pending if tid not in drop_set]
-        state.dropped.extend(dropped)
+    for tid in dropped:
+        del state.pending[tid]
+    state.dropped.extend(dropped)
 
     # 5. energy on post-admission utilization
     node_energy = []
@@ -307,7 +316,7 @@ def build_observation(state: SimState) -> np.ndarray:
 
     now = state.time
     window = []
-    for tid in state.pending[:QUEUE_WINDOW]:
+    for tid in islice(state.pending, QUEUE_WINDOW):
         t = state.tasks[tid]
         window += [
             t.cpu / MAX_CPU_CAPACITY,

@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .rng import RngStream, sample_categorical, sample_exponential, sample_lognormal, sample_pareto
+import numpy as np
+
+from .rng import RngStream, categorical_cdf, pareto_from_uniform
 
 # Distribution parameters of the workload model.
 DURATION_ALPHA = 1.5
@@ -54,31 +56,34 @@ def generate_workload(
 ) -> list[Task]:
     """Generate ``count`` tasks in arrival order, ids 0..count-1.
 
-    Per-task sampling order is fixed (duration, cpu, mem, priority) so the
-    workload is a deterministic function of the stream.
+    Each task draws its inter-arrival gap, duration, cpu, mem and priority in
+    that order, so the workload is a deterministic function of the stream
+    (draw order unchanged; transforms on arrays). The inverse-CDF transforms
+    run on whole arrays, except the Pareto power: it stays a Python float
+    ``**``, because numpy's array ``power`` can differ from it in the last
+    bit. Arrival times are a sequential float sum of the gaps.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if arrival_rate <= 0:
         raise ValueError("arrival_rate must be positive")
+    cum_mix = categorical_cdf(priority_mix)
+
+    uniform, normal = s.uniform, s.normal
+    draws = np.array([f() for _ in range(count) for f in (uniform, uniform, normal, normal, uniform)])
+    u_gap, u_duration, z_cpu, z_mem, u_priority = draws.reshape(count, 5).T
+    gaps = (-np.log1p(-u_gap) / arrival_rate).tolist()
+    durations = [pareto_from_uniform(u, DURATION_ALPHA, DURATION_TMIN) for u in u_duration.tolist()]
+    cpus = np.exp(CPU_MU + CPU_SIGMA * z_cpu).tolist()
+    mems = np.exp(MEM_MU + MEM_SIGMA * z_mem).tolist()
+    priorities = np.minimum(np.searchsorted(cum_mix, u_priority, side="right"),
+                            len(cum_mix) - 1).tolist()
 
     tasks = []
     now = 0.0
-    for i in range(count):
-        now += sample_exponential(s, arrival_rate)
-        duration = sample_pareto(s, DURATION_ALPHA, DURATION_TMIN)
-        cpu = sample_lognormal(s, CPU_MU, CPU_SIGMA)
-        mem = sample_lognormal(s, MEM_MU, MEM_SIGMA)
-        priority = sample_categorical(s, priority_mix)
-        tasks.append(
-            Task(
-                id=i,
-                duration=duration,
-                cpu=cpu,
-                mem=mem,
-                arrival=now,
-                priority=priority,
-                deadline=deadline_for(now, duration, priority),
-            )
-        )
+    for i, (gap, duration, cpu, mem, priority) in enumerate(
+            zip(gaps, durations, cpus, mems, priorities)):
+        now += gap
+        tasks.append(Task(id=i, duration=duration, cpu=cpu, mem=mem, arrival=now,
+                          priority=priority, deadline=deadline_for(now, duration, priority)))
     return tasks

@@ -86,6 +86,23 @@ class TestExperimentConfig:
     def test_value_of_annotated_type_accepted(self, key, value, expected):
         assert operator.attrgetter(key)(ExperimentConfig.from_flat({key: value})) == expected
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"n_nodes": 0}, "n_nodes must be >= 1, got 0"),
+        ({"n_tasks": 0}, "n_tasks must be >= 1, got 0"),
+        ({"arrival_rate": 0}, "arrival_rate must be positive, got 0"),
+        ({"arrival_rate": -1.0}, "arrival_rate must be positive, got -1.0"),
+        ({"hyper.batch_size": 0}, "hyper.batch_size must be >= 1, got 0"),
+        ({"hyper.replay_capacity": 0}, "hyper.replay_capacity must be >= 1, got 0"),
+    ])
+    def test_value_out_of_range_rejected(self, raw, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_flat(raw)
+
+    @pytest.mark.parametrize("raw", [[1, 2], 3, "x", None])
+    def test_non_object_config_rejected(self, raw):
+        with pytest.raises(ValueError, match=f"^config must be a JSON object, not {re.escape(json.dumps(raw))}$"):
+            ExperimentConfig.from_flat(raw)
+
     def test_window_must_fit(self):
         with pytest.raises(ValueError):
             ExperimentConfig(episodes=3, final_window=5)
@@ -207,6 +224,31 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith(f"error: config key {next(iter(raw))} must be ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw", [
+        {"hyper.batch_size": 0}, {"hyper.replay_capacity": 0}, {"n_nodes": 0},
+        {"n_tasks": 0}, {"arrival_rate": -1.0}, [1, 2],
+    ])
+    def test_config_value_out_of_range_exits_2(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        rc = main(["run", "--scheduler", "drl", "--config", str(cfg), "--episodes", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_nodes_flag_out_of_range_exits_2(self, tmp_path):
+        """End to end through a fresh interpreter: one line on stderr, exit 2."""
+        src = str(Path(marlsched.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "marlsched.cli", "run", "--scheduler", "drl", "--nodes", "0",
+             "--episodes", "1", "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: n_nodes must be >= 1, got 0\n"
 
     def test_trace_file_emitted(self, tmp_path):
         rc = main(["run", "--scheduler", "minmin", "--episodes", "1", "--seed", "1",

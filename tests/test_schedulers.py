@@ -121,3 +121,76 @@ class TestPriorityMinMin:
         sched = PriorityMinMinScheduler()
         decisions = {d.task_id: d.node_id for d in sched.assign(state, [state.tasks[0], state.tasks[1]])}
         assert sorted(decisions.values()) == [0, 1]
+
+
+def minmin_oracle(state, pending):
+    """The per-node scan min-min ran before it was array-shaped: (task, node) pairs."""
+    order = sorted(pending, key=lambda t: (t.priority, t.arrival, t.id))
+    cpu_used = {n.spec.id: n.cpu_in_use for n in state.nodes}
+    mem_used = {n.spec.id: n.mem_in_use for n in state.nodes}
+    decisions = []
+    for t in order:
+        best, best_util = None, None
+        for nd in state.nodes:
+            nid = nd.spec.id
+            if (
+                cpu_used[nid] + t.cpu <= nd.spec.cpu_capacity
+                and mem_used[nid] + t.mem <= nd.spec.mem_capacity
+            ):
+                util = cpu_used[nid] / nd.spec.cpu_capacity
+                if best is None or util < best_util:
+                    best, best_util = nid, util
+        if best is not None:
+            cpu_used[best] += t.cpu
+            mem_used[best] += t.mem
+        decisions.append((t.id, best))
+    return decisions
+
+
+class TestPriorityMinMinOracle:
+    """The masked-argmin placement equals the per-node scan, decision for decision."""
+
+    def random_case(self, seed):
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(1, 12))
+        # few distinct capacities and quantized loads, so equal utilizations are common
+        nodes = [node(i, cpu=float(rng.choice([2, 4, 8])), mem=float(rng.choice([4, 8, 16])))
+                 for i in range(n_nodes)]
+        state = init_episode(SimConfig(), [], nodes)
+        for nd in state.nodes:
+            share = float(rng.choice([0.0, 0.25, 0.5, 1.0]))   # 1.0: saturated node
+            nd.cpu_in_use = share * nd.spec.cpu_capacity
+            nd.mem_in_use = float(rng.choice([0.0, 0.5])) * nd.spec.mem_capacity
+        pending = [
+            # cpu up to 12 cores: some tasks fit no node at all
+            task(i, cpu=float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 12.0])),
+                 mem=float(rng.choice([0.5, 1.0, 4.0, 20.0])),
+                 arrival=float(rng.integers(0, 3)), priority=int(rng.integers(0, 3)))
+            for i in rng.permutation(int(rng.integers(0, 40)))
+        ]
+        return state, pending
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_states(self, seed):
+        state, pending = self.random_case(seed)
+        got = [(d.task_id, d.node_id) for d in PriorityMinMinScheduler().assign(state, pending)]
+        assert got == minmin_oracle(state, pending)
+
+    def test_empty_pending(self):
+        state = init_episode(SimConfig(), [], [node(0), node(1)])
+        assert PriorityMinMinScheduler().assign(state, []) == []
+
+    def test_loaded_cluster_matches_oracle(self):
+        nodes = generate_cluster(derive_stream(3, "cl"), 100)
+        state = init_episode(SimConfig(), [], nodes)
+        rng = np.random.default_rng(3)
+        for nd in state.nodes:
+            nd.cpu_in_use = float(rng.uniform(0.0, 1.0)) * nd.spec.cpu_capacity
+            nd.mem_in_use = float(rng.uniform(0.0, 1.0)) * nd.spec.mem_capacity
+        pending = [task(i, cpu=float(rng.lognormal(0.5, 0.8)), mem=float(rng.lognormal(2.0, 1.0)),
+                        arrival=float(i // 7), priority=int(rng.integers(0, 3)))
+                   for i in range(600)]
+        got = [(d.task_id, d.node_id) for d in PriorityMinMinScheduler().assign(state, pending)]
+        want = minmin_oracle(state, pending)
+        assert got == want
+        assert any(nid is None for _, nid in want) and any(nid is not None for _, nid in want)

@@ -169,7 +169,7 @@ class TestAdvance:
         assert state.dropped == []
         r = advance(state, 5.0)        # step covering t=15 > deadline 12
         assert r.dropped == [0] and state.dropped == [0]
-        assert state.pending == [] and state.completions == []
+        assert not state.pending and state.completions == []
 
     def test_arrivals_revealed_in_order(self):
         ts = [task(0, 10.0, arrival=3.0), task(1, 10.0, arrival=4.0), task(2, 10.0, arrival=12.0)]
@@ -207,6 +207,26 @@ class TestAdvance:
             )
             assert accounted == len(tasks)
         assert len(state.completions) + len(state.dropped) == len(tasks)
+
+    def test_pending_keeps_arrival_order(self):
+        """Enqueues and deadline drops remove ids; the rest stay in arrival order."""
+        tasks = generate_workload(derive_stream(4, "wl"), 300, arrival_rate=2.0)
+        state = init_episode(SimConfig(), tasks, [node(0, cpu=2.0, mem=8.0)])
+        expected, placed, dropped = list(state.pending), 0, 0
+        for _ in range(60):
+            # place every third pending task that fits the node's capacity
+            for tid in list(state.pending)[::3]:
+                t = state.tasks[tid]
+                if t.cpu <= 2.0 and t.mem <= 8.0:
+                    enqueue_assignment(state, tid, 0)
+                    expected.remove(tid)
+                    placed += 1
+            report = advance(state, 5.0)
+            expected = [tid for tid in expected if tid not in report.dropped] + report.arrived
+            dropped += len(report.dropped)
+            assert list(state.pending) == expected
+            assert expected == sorted(expected)
+        assert placed and dropped and state.pending
 
 
 class TestEnergy:
@@ -325,7 +345,7 @@ def reference_observation(state, node_id):
         obs[8] = nb.min()
         obs[9] = nb.max()
 
-    for k, tid in enumerate(state.pending[:QUEUE_WINDOW]):
+    for k, tid in enumerate(list(state.pending)[:QUEUE_WINDOW]):
         t = state.tasks[tid]
         base = 10 + k * TASK_FEATURES
         obs[base] = t.cpu / MAX_CPU_CAPACITY

@@ -3,12 +3,42 @@
 import numpy as np
 import pytest
 
-from marlsched.rng import derive_stream
+from marlsched.rng import (
+    derive_stream,
+    sample_categorical,
+    sample_exponential,
+    sample_lognormal,
+    sample_pareto,
+)
 from marlsched.workload import (
+    CPU_MU,
+    CPU_SIGMA,
     DEADLINE_FACTORS,
+    DEFAULT_ARRIVAL_RATE,
+    DEFAULT_PRIORITY_MIX,
+    DURATION_ALPHA,
+    DURATION_TMIN,
+    MEM_MU,
+    MEM_SIGMA,
+    Task,
     deadline_for,
     generate_workload,
 )
+
+
+def reference_workload(s, count, arrival_rate=DEFAULT_ARRIVAL_RATE,
+                       priority_mix=DEFAULT_PRIORITY_MIX):
+    """One scalar sampler call per value, in the generator's draw order."""
+    tasks, now = [], 0.0
+    for i in range(count):
+        now += sample_exponential(s, arrival_rate)
+        duration = sample_pareto(s, DURATION_ALPHA, DURATION_TMIN)
+        cpu = sample_lognormal(s, CPU_MU, CPU_SIGMA)
+        mem = sample_lognormal(s, MEM_MU, MEM_SIGMA)
+        priority = sample_categorical(s, priority_mix)
+        tasks.append(Task(i, duration, cpu, mem, now, priority,
+                          deadline_for(now, duration, priority)))
+    return tasks
 
 
 @pytest.fixture(scope="module")
@@ -73,3 +103,34 @@ class TestGeneration:
         fracs = counts / len(big_workload)
         for frac, expected in zip(fracs, (0.25, 0.60, 0.15)):
             assert frac == pytest.approx(expected, abs=0.02)
+
+
+class TestReferenceEquivalence:
+    """The array transforms reproduce the scalar samplers bit for bit."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 1234])
+    def test_default_model(self, seed):
+        got = generate_workload(derive_stream(seed, "wl"), 5000)
+        assert got == reference_workload(derive_stream(seed, "wl"), 5000)
+
+    @pytest.mark.parametrize("arrival_rate, priority_mix", [
+        (13.7, (0.1, 0.2, 0.7)),
+        (3, (1, 0, 0)),
+    ])
+    def test_non_default_rate_and_mix(self, arrival_rate, priority_mix):
+        got = generate_workload(derive_stream(5, "wl"), 3000, arrival_rate, priority_mix)
+        assert got == reference_workload(derive_stream(5, "wl"), 3000, arrival_rate, priority_mix)
+        assert all(type(t.priority) is int and type(t.cpu) is float for t in got)
+
+    @pytest.mark.parametrize("priority_mix", [(0.3, 0.3), (1.2, -0.2, 0.0)])
+    def test_bad_priority_mix_errors_unchanged(self, priority_mix):
+        with pytest.raises(ValueError) as want:
+            reference_workload(derive_stream(0, "x"), 5, priority_mix=priority_mix)
+        with pytest.raises(ValueError) as got:
+            generate_workload(derive_stream(0, "x"), 5, priority_mix=priority_mix)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("arrival_rate", [0.0, -1.0])
+    def test_bad_arrival_rate_rejected(self, arrival_rate):
+        with pytest.raises(ValueError, match="^arrival_rate must be positive$"):
+            generate_workload(derive_stream(0, "x"), 5, arrival_rate)
