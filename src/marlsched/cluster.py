@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
+
+import numpy as np
 
 from .rng import RngStream
 
@@ -11,7 +14,8 @@ HIGH, MEDIUM, LOW = "High", "Medium", "Low"
 
 @dataclass(frozen=True)
 class NodeSpec:
-    """Static node capacity and power coefficients."""
+    """Static node capacity and power coefficients; or a population's, then
+    every field is an array indexed by node id (``stack_specs``)."""
 
     id: int
     cpu_capacity: float  # cores
@@ -81,20 +85,33 @@ def generate_cluster(s: RngStream, n: int, tiers: dict[str, TierConfig] | None =
     return nodes
 
 
+def stack_specs(nodes: Sequence[NodeSpec]) -> NodeSpec:
+    """The population of ``nodes``, node i at index i of every field's array."""
+    return NodeSpec(*(np.array([getattr(n, f.name) for n in nodes]) for f in fields(NodeSpec)))
+
+
 def instantaneous_power(spec: NodeSpec, utilization: float) -> float:
-    """Linear power model: idle floor plus utilization-proportional term."""
-    if not 0.0 <= utilization <= 1.0:
+    """Linear power model: idle floor plus utilization-proportional term.
+
+    For a population ``spec``, ``utilization`` holds one value per node and
+    the power is per node too.
+    """
+    u = np.asarray(utilization)
+    if not ((0.0 <= u) & (u <= 1.0)).all():
         raise ValueError(f"utilization must be in [0, 1], got {utilization}")
     return spec.p_idle + spec.p_dyn * utilization
 
 
 def step_energy(spec: NodeSpec, aggregate_cpu_in_use: float, dt: float) -> float:
-    """Energy in joules consumed over one step at constant load."""
+    """Energy in joules consumed over one step at constant load; per node for
+    a population ``spec`` with one ``aggregate_cpu_in_use`` per node."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if not 0.0 <= aggregate_cpu_in_use <= spec.cpu_capacity:
+    cpu, cap = np.asarray(aggregate_cpu_in_use), spec.cpu_capacity
+    outside = np.flatnonzero(~((0.0 <= cpu) & (cpu <= cap)))
+    if outside.size:
+        i = outside[0]
         raise ValueError(
-            f"cpu in use {aggregate_cpu_in_use} outside [0, {spec.cpu_capacity}] on node {spec.id}"
+            f"cpu in use {np.ravel(cpu)[i]} outside [0, {np.ravel(cap)[i]}] on node {np.ravel(spec.id)[i]}"
         )
-    return instantaneous_power(spec, aggregate_cpu_in_use / spec.cpu_capacity) * dt
-
+    return instantaneous_power(spec, aggregate_cpu_in_use / cap) * dt

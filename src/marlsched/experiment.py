@@ -13,7 +13,7 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 from .cluster import generate_cluster
 from .marl import DrlScheduler, Hyperparams, save_checkpoint
 from .metrics import EpisodeMetrics, aggregate_final, summarize_episode
-from .rng import derive_stream
+from .rng import categorical_cdf, derive_stream
 from .schedulers import BASELINES, Scheduler
 from .simenv import SimConfig, advance, enqueue_assignment, init_episode
 from .stats import bonferroni, confidence_interval_95, welch_t_test
@@ -57,6 +57,13 @@ class ExperimentConfig:
             raise ValueError(f"n_tasks must be >= 1, got {self.n_tasks}")
         if not self.arrival_rate > 0:
             raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
+        mix = list(self.priority_mix)
+        if len(mix) != 3:
+            raise ValueError(f"priority_mix must hold 3 weights, got {mix}")
+        try:
+            categorical_cdf(mix)   # the check generate_workload makes, made up front
+        except ValueError as exc:
+            raise ValueError(f"priority_mix {mix}: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -155,7 +162,7 @@ def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
                 "completed": [c.task_id for c in report.completions],
                 "dropped": report.dropped,
                 "arrived": report.arrived,
-                "util": [round(n.utilization, 6) for n in state.nodes],
+                "util": [round(u, 6) for u in state.utilization().tolist()],
             }) + "\n")
         scheduler.after_advance(state, report)
         if state.time >= config.sim.max_time or state.all_resolved():

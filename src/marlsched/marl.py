@@ -11,7 +11,7 @@ agent's replay keeps its transitions as array rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,7 +57,7 @@ class Hyperparams:
     balance_coef: float = 200.0
 
     def __post_init__(self):
-        for name in ("replay_capacity", "batch_size"):
+        for name in ("hidden", "replay_capacity", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"hyper.{name} must be >= 1, got {getattr(self, name)}")
 
@@ -94,22 +94,34 @@ def expected_param_count(obs_dim: int, hidden: int, n_actions: int) -> int:
     return obs_dim * hidden + hidden + hidden * n_actions + n_actions + hidden + 1
 
 
-def init_agent(s: RngStream, h: Hyperparams, obs_dim: int, n_actions: int) -> AgentParams:
-    """Scaled-uniform weight init (limit sqrt(2/fan_in)), zero biases."""
-
-    def draw(shape, fan_in):
-        limit = np.sqrt(2.0 / fan_in)
-        return (2.0 * s.uniform_array(int(np.prod(shape))).reshape(shape) - 1.0) * limit
-
-    return AgentParams(
-        W1=draw((h.hidden, obs_dim), obs_dim),
-        b1=np.zeros(h.hidden),
-        W2=draw((n_actions, h.hidden), h.hidden),
-        b2=np.zeros(n_actions),
-        Wv=draw((h.hidden,), h.hidden),
-        bv=0.0,
-        current_lr=h.learning_rate,
+def init_agents(streams: Sequence[RngStream], h: Hyperparams, obs_dim: int,
+                n_actions: int) -> AgentParams:
+    """A population with agent i drawn from ``streams[i]``: scaled-uniform
+    weights (limit sqrt(2/fan_in)) drawn W1, W2, Wv in that order straight
+    into arrays allocated up front, and zero biases."""
+    n = len(streams)
+    agents = AgentParams(
+        W1=np.empty((n, h.hidden, obs_dim)),
+        b1=np.zeros((n, h.hidden)),
+        W2=np.empty((n, n_actions, h.hidden)),
+        b2=np.zeros((n, n_actions)),
+        Wv=np.empty((n, h.hidden)),
+        bv=np.zeros(n),
+        current_lr=np.full(n, h.learning_rate),
     )
+    for s, W1, W2, Wv in zip(streams, agents.W1, agents.W2, agents.Wv):
+        for w, fan_in in ((W1, obs_dim), (W2, h.hidden), (Wv, h.hidden)):
+            w[...] = s.uniform_array(w.size).reshape(w.shape)
+            w *= 2.0
+            w -= 1.0
+            w *= np.sqrt(2.0 / fan_in)
+    return agents
+
+
+def init_agent(s: RngStream, h: Hyperparams, obs_dim: int, n_actions: int) -> AgentParams:
+    """One agent, drawn as by ``init_agents``, with scalar ``bv`` and ``current_lr``."""
+    return replace(init_agents([s], h, obs_dim, n_actions).agent(0), bv=0.0,
+                   current_lr=h.learning_rate)
 
 
 def forward(params: AgentParams, obs: np.ndarray):
@@ -153,8 +165,9 @@ def assignment_score(
     h: Hyperparams,
 ) -> float:
     """Hybrid per-(task, node) score: learned preference plus load, memory
-    headroom and size compatibility terms."""
-    compat = min(max(1.0 - abs(task.cpu / cpu_capacity - 0.5), 0.0), 1.0)
+    headroom and size compatibility terms. Given arrays over nodes, it scores
+    each node."""
+    compat = np.clip(1.0 - np.abs(task.cpu / cpu_capacity - 0.5), 0.0, 1.0)
     return (
         h.w_pi * policy_value_for_node
         + h.w_load * (1.0 - utilization)
@@ -174,12 +187,16 @@ def select_assignments(
     """Place pending tasks in descending urgency order.
 
     ``self_probs[i]`` is agent i's policy probability at its own node index.
-    Capacity bookkeeping for nodes chosen earlier in the call shifts later
-    scores; with ``explore_epsilon == 0`` no randomness is consumed.
+    Every node is scored at once and the best feasible one wins, ties to the
+    lowest id. Capacity bookkeeping for nodes chosen earlier in the call
+    shifts later scores; with ``explore_epsilon == 0`` no randomness is
+    consumed.
     """
     order = sorted(pending, key=lambda t: (-priority_score(t, state.time, h), t.id))
-    util = {n.spec.id: n.utilization for n in state.nodes}
-    mem_frac = {n.spec.id: n.mem_in_use / n.spec.mem_capacity for n in state.nodes}
+    cpu_capacity, mem_capacity = state.specs.cpu_capacity, state.specs.mem_capacity
+    util = state.utilization()
+    mem_frac = state.mem_in_use / mem_capacity
+    masked = np.empty(state.n_nodes)
     decisions = []
     for task in order:
         feas = feasible_nodes(state, task)
@@ -190,17 +207,12 @@ def select_assignments(
             u = s.uniform()
             chosen = feas[min(int(u * len(feas)), len(feas) - 1)]
         else:
-            chosen, best = None, None
-            for nid in feas:
-                score = assignment_score(
-                    self_probs[nid], util[nid], mem_frac[nid], task,
-                    state.nodes[nid].spec.cpu_capacity, h,
-                )
-                if best is None or score > best:
-                    chosen, best = nid, score
-        spec = state.nodes[chosen].spec
-        util[chosen] += task.cpu / spec.cpu_capacity
-        mem_frac[chosen] += task.mem / spec.mem_capacity
+            scores = assignment_score(self_probs, util, mem_frac, task, cpu_capacity, h)
+            masked.fill(-np.inf)
+            masked[feas] = scores[feas]
+            chosen = int(masked.argmax())   # the first maximum, as a strict-> scan picks
+        util[chosen] += task.cpu / cpu_capacity[chosen]
+        mem_frac[chosen] += task.mem / mem_capacity[chosen]
         decisions.append(SchedulerDecision(task.id, chosen))
     return decisions
 
@@ -323,18 +335,19 @@ def apply_update(params: AgentParams, batch: Experience, gamma: float,
     # critic: d(0.5 * (v - target)^2)/d v with the target held constant
     g_value = -delta
 
+    # .sum(...) / n is .mean(...) without its per-call overhead: the same bits
     d_w2 = g_logits.T @ hid / n
-    d_b2 = g_logits.mean(axis=0)
-    d_wv = (g_value[:, None] * hid).mean(axis=0)
-    d_bv = g_value.mean()
+    d_b2 = g_logits.sum(axis=0) / n
+    d_wv = (g_value[:, None] * hid).sum(axis=0) / n
+    d_bv = g_value.sum() / n
     d_hid = g_logits @ params.W2 + g_value[:, None] * params.Wv[None, :]
     d_hpre = d_hid * (h_pre > 0)
     d_w1 = d_hpre.T @ obs / n
-    d_b1 = d_hpre.mean(axis=0)
+    d_b1 = d_hpre.sum(axis=0) / n
 
     grads = (d_w1, d_b1, d_w2, d_b2, d_wv)
     for g in grads:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient")
     if grad_clip_norm is not None:
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads) + d_bv * d_bv)
@@ -386,10 +399,10 @@ class DrlScheduler(Scheduler):
     def __init__(self, master_seed: int, n_nodes: int, h: Hyperparams | None = None, train: bool = True):
         self.h = h or Hyperparams()
         self.train = train
-        self.agents = stack_agents([
-            init_agent(derive_stream(master_seed, f"agent-init-{i}"), self.h, OBS_DIM, n_nodes)
-            for i in range(n_nodes)
-        ])
+        self.agents = init_agents(
+            [derive_stream(master_seed, f"agent-init-{i}") for i in range(n_nodes)],
+            self.h, OBS_DIM, n_nodes,
+        )
         self.buffers = [
             ReplayBuffer(self.h.replay_capacity, self.h.per_epsilon, self.h.per_exponent)
             for _ in range(n_nodes)

@@ -92,7 +92,7 @@ def categorical_cdf(weights) -> np.ndarray:
     """Cumulative bins of a categorical distribution; checks the weights."""
     w = np.asarray(weights, dtype=float)
     if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
+        raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     return np.cumsum(w)

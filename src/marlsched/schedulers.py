@@ -105,17 +105,17 @@ class PriorityMinMinScheduler(Scheduler):
     def assign(self, state, pending):
         order = sorted(pending, key=lambda t: (t.priority, t.arrival, t.id))
         # hypothetical load including assignments made earlier in this call
-        cpu_used = [n.cpu_in_use for n in state.nodes]
-        mem_used = [n.mem_in_use for n in state.nodes]
-        cpu_cap, mem_cap = state.cpu_capacity.tolist(), state.mem_capacity.tolist()
-        util = np.array(cpu_used) / state.cpu_capacity
+        cpu_used, mem_used = state.cpu_in_use.tolist(), state.mem_in_use.tolist()
+        cpu_capacity, mem_capacity = state.specs.cpu_capacity, state.specs.mem_capacity
+        cpu_cap, mem_cap = cpu_capacity.tolist(), mem_capacity.tolist()
+        util = state.utilization()
         cpu = np.array([t.cpu for t in order])
         mem = np.array([t.mem for t in order])
         # fit[n, k]: task k fits node n's remaining capacity; n_fit[k] counts them.
         # Usage only grows within a call, so a task that fits no node now never
         # will, and a placement on node n can only clear entries of row n.
-        fit = ((np.add.outer(cpu_used, cpu) <= state.cpu_capacity[:, None])
-               & (np.add.outer(mem_used, mem) <= state.mem_capacity[:, None]))
+        fit = ((np.add.outer(cpu_used, cpu) <= cpu_capacity[:, None])
+               & (np.add.outer(mem_used, mem) <= mem_capacity[:, None]))
         n_fit = fit.sum(axis=0)
         candidates = np.flatnonzero(n_fit)
         fit, n_fit = fit[:, candidates], n_fit[candidates]

@@ -7,8 +7,10 @@ partial observation each node agent sees.
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +21,7 @@ from .cluster import (
     MAX_P_DYN,
     MAX_P_IDLE,
     NodeSpec,
+    stack_specs,
     step_energy,
 )
 from .workload import Task
@@ -51,18 +54,18 @@ class RunningTask:
     finish_time: float
 
 
+# Completion order: a node's running list is kept sorted by it.
+_completion_key = attrgetter("finish_time", "task_id")
+_finish_time = attrgetter("finish_time")
+
+
 @dataclass
 class NodeState:
     spec: NodeSpec
+    # sorted by (finish_time, task_id), so a step's completions are a prefix
     running: list[RunningTask] = field(default_factory=list)
     queue: list[int] = field(default_factory=list)  # assigned, waiting for admission (FIFO)
     energy_joules: float = 0.0
-    cpu_in_use: float = 0.0
-    mem_in_use: float = 0.0
-
-    @property
-    def utilization(self) -> float:
-        return self.cpu_in_use / self.spec.cpu_capacity
 
 
 @dataclass(frozen=True)
@@ -102,13 +105,24 @@ class SimState:
     steps: int = 0
     _arrival_order: list[int] = field(default_factory=list)
     _next_arrival_idx: int = 0
-    # static node capacities as arrays, indexed by node id
-    cpu_capacity: np.ndarray = field(init=False)
-    mem_capacity: np.ndarray = field(init=False)
+    # the node specs as one population (``stack_specs``), indexed by node id
+    specs: NodeSpec = field(init=False)
+    # observation columns 3-6, which depend only on the specs
+    static_obs: np.ndarray = field(init=False)
+    # load of admitted tasks per node: cores and GB in use
+    cpu_in_use: np.ndarray = field(init=False)
+    mem_in_use: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.cpu_capacity = np.array([n.spec.cpu_capacity for n in self.nodes], dtype=float)
-        self.mem_capacity = np.array([n.spec.mem_capacity for n in self.nodes], dtype=float)
+        self.specs = specs = stack_specs([n.spec for n in self.nodes])
+        self.static_obs = np.stack([
+            specs.cpu_capacity / MAX_CPU_CAPACITY,
+            specs.mem_capacity / MAX_MEM_CAPACITY,
+            specs.p_idle / MAX_P_IDLE,
+            specs.p_dyn / MAX_P_DYN,
+        ], axis=1)
+        self.cpu_in_use = np.zeros(len(self.nodes))
+        self.mem_in_use = np.zeros(len(self.nodes))
 
     @property
     def n_nodes(self) -> int:
@@ -126,6 +140,10 @@ class SimState:
 
     def mean_util_variance(self) -> float:
         return self.util_variance_sum / self.steps if self.steps else 0.0
+
+    def utilization(self) -> np.ndarray:
+        """CPU in use over capacity, per node."""
+        return self.cpu_in_use / self.specs.cpu_capacity
 
 
 def init_episode(config: SimConfig, tasks: Sequence[Task], nodes: Sequence[NodeSpec]) -> SimState:
@@ -147,31 +165,25 @@ def init_episode(config: SimConfig, tasks: Sequence[Task], nodes: Sequence[NodeS
 
 def feasible_nodes(state: SimState, task: Task) -> list[int]:
     """Nodes whose static capacity can ever hold the task; load is ignored."""
-    return [
-        n.spec.id
-        for n in state.nodes
-        if task.cpu <= n.spec.cpu_capacity and task.mem <= n.spec.mem_capacity
-    ]
+    fits = (task.cpu <= state.specs.cpu_capacity) & (task.mem <= state.specs.mem_capacity)
+    return np.flatnonzero(fits).tolist()
 
 
-def _try_admit(state: SimState, node: NodeState, now: float) -> list[RunningTask]:
+def _try_admit(state: SimState, node_id: int, now: float) -> None:
     """FIFO admission scan on one node at time ``now``."""
-    started = []
-    while node.queue:
-        task = state.tasks[node.queue[0]]
-        if (
-            node.cpu_in_use + task.cpu <= node.spec.cpu_capacity
-            and node.mem_in_use + task.mem <= node.spec.mem_capacity
-        ):
-            node.queue.pop(0)
-            rt = RunningTask(task.id, node.spec.id, now, now + task.duration)
-            node.running.append(rt)
-            node.cpu_in_use += task.cpu
-            node.mem_in_use += task.mem
-            started.append(rt)
-        else:
+    node = state.nodes[node_id]
+    queue, spec = node.queue, node.spec
+    cpu, mem = state.cpu_in_use.item(node_id), state.mem_in_use.item(node_id)
+    while queue:
+        task = state.tasks[queue[0]]
+        if cpu + task.cpu > spec.cpu_capacity or mem + task.mem > spec.mem_capacity:
             break
-    return started
+        queue.pop(0)
+        insort(node.running, RunningTask(task.id, spec.id, now, now + task.duration),
+               key=_completion_key)
+        cpu += task.cpu
+        mem += task.mem
+    state.cpu_in_use[node_id], state.mem_in_use[node_id] = cpu, mem
 
 
 def enqueue_assignment(state: SimState, task_id: int, node_id: int) -> None:
@@ -186,7 +198,7 @@ def enqueue_assignment(state: SimState, task_id: int, node_id: int) -> None:
         raise ValueError(f"node {node_id} is statically infeasible for task {task_id}")
     del state.pending[task_id]
     node.queue.append(task_id)
-    _try_admit(state, node, state.time)
+    _try_admit(state, node_id, state.time)
 
 
 def _reveal_arrivals(state: SimState, now: float) -> list[int]:
@@ -213,16 +225,18 @@ def advance(state: SimState, dt: float) -> StepReport:
         raise ValueError("dt must equal config.dt")
     new_time = state.time + dt
 
-    # 1. completions
+    # 1. completions, each node's in (finish_time, task_id) order
     completions = []
-    for node in state.nodes:
-        done = sorted((rt for rt in node.running if rt.finish_time <= new_time),
-                      key=lambda rt: (rt.finish_time, rt.task_id))
-        for rt in done:
-            node.running.remove(rt)
+    for i, node in enumerate(state.nodes):
+        running = node.running
+        if not running or running[0].finish_time > new_time:
+            continue
+        done = bisect_right(running, new_time, key=_finish_time)
+        cpu, mem = state.cpu_in_use.item(i), state.mem_in_use.item(i)
+        for rt in running[:done]:
             task = state.tasks[rt.task_id]
-            node.cpu_in_use -= task.cpu
-            node.mem_in_use -= task.mem
+            cpu -= task.cpu
+            mem -= task.mem
             completions.append(
                 CompletionRecord(
                     task_id=task.id,
@@ -234,14 +248,17 @@ def advance(state: SimState, dt: float) -> StepReport:
                     node_id=node.spec.id,
                 )
             )
-        # guard against float drift when a node fully empties
-        if not node.running:
-            node.cpu_in_use = 0.0
-            node.mem_in_use = 0.0
+        del running[:done]
+        # guard against float drift when a node fully empties (a node whose
+        # list was already empty has exactly zero in use)
+        if not running:
+            cpu = mem = 0.0
+        state.cpu_in_use[i], state.mem_in_use[i] = cpu, mem
 
     # 2. admission (queued tasks start at the step boundary)
-    for node in state.nodes:
-        _try_admit(state, node, new_time)
+    for i, node in enumerate(state.nodes):
+        if node.queue:
+            _try_admit(state, i, new_time)
 
     # 3. arrivals
     arrived = _reveal_arrivals(state, new_time)
@@ -252,15 +269,11 @@ def advance(state: SimState, dt: float) -> StepReport:
         del state.pending[tid]
     state.dropped.extend(dropped)
 
-    # 5. energy on post-admission utilization
-    node_energy = []
-    utils = np.empty(len(state.nodes))
-    for i, node in enumerate(state.nodes):
-        e = step_energy(node.spec, node.cpu_in_use, dt)
+    # 5. energy on post-admission utilization, summed in node order
+    node_energy = step_energy(state.specs, state.cpu_in_use, dt).tolist()
+    for node, e in zip(state.nodes, node_energy):
         node.energy_joules += e
-        node_energy.append(e)
-        utils[i] = node.utilization
-    util_variance = float(np.var(utils))
+    util_variance = float(np.var(state.utilization()))
     state.util_variance_sum += util_variance
     state.steps += 1
 
@@ -290,17 +303,13 @@ def build_observation(state: SimState) -> np.ndarray:
     10-49 a window of the 8 oldest pending tasks x 5 features, zero-padded.
     The window is the same for every agent.
     """
-    nodes = state.nodes
-    n = len(nodes)
+    n = state.n_nodes
     obs = np.zeros((n, OBS_DIM))
-    util = np.array([node.utilization for node in nodes])
+    util = state.utilization()
     obs[:, 0] = util
-    obs[:, 1] = [node.mem_in_use / node.spec.mem_capacity for node in nodes]
-    obs[:, 2] = [min(len(node.queue), 50) / 50.0 for node in nodes]
-    obs[:, 3] = [node.spec.cpu_capacity / MAX_CPU_CAPACITY for node in nodes]
-    obs[:, 4] = [node.spec.mem_capacity / MAX_MEM_CAPACITY for node in nodes]
-    obs[:, 5] = [node.spec.p_idle / MAX_P_IDLE for node in nodes]
-    obs[:, 6] = [node.spec.p_dyn / MAX_P_DYN for node in nodes]
+    obs[:, 1] = state.mem_in_use / state.specs.mem_capacity
+    obs[:, 2] = np.minimum([len(node.queue) for node in state.nodes], 50) / 50.0
+    obs[:, 3:7] = state.static_obs
 
     # Ring offsets -1, +1, -2, +2, ...; on small rings they repeat or wrap
     # onto the node itself, so keep the first of each and drop offset 0.

@@ -93,6 +93,14 @@ class TestExperimentConfig:
         ({"arrival_rate": -1.0}, "arrival_rate must be positive, got -1.0"),
         ({"hyper.batch_size": 0}, "hyper.batch_size must be >= 1, got 0"),
         ({"hyper.replay_capacity": 0}, "hyper.replay_capacity must be >= 1, got 0"),
+        ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
+        ({"priority_mix": [0.5, 0.5, 0.5]},
+         "priority_mix [0.5, 0.5, 0.5]: weights must sum to 1, got 1.5"),
+        ({"priority_mix": [1.2, -0.2, 0.0]},
+         "priority_mix [1.2, -0.2, 0.0]: weights must be nonnegative"),
+        ({"priority_mix": [0.5, 0.5]}, "priority_mix must hold 3 weights, got [0.5, 0.5]"),
+        ({"priority_mix": [0.25, 0.25, 0.25, 0.25]},
+         "priority_mix must hold 3 weights, got [0.25, 0.25, 0.25, 0.25]"),
     ])
     def test_value_out_of_range_rejected(self, raw, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -237,6 +245,21 @@ class TestCliRun:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"priority_mix": [0.5, 0.5, 0.5]},
+         "priority_mix [0.5, 0.5, 0.5]: weights must sum to 1, got 1.5"),
+        ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
+    ])
+    def test_config_that_failed_mid_run_exits_2(self, tmp_path, capsys, raw, message):
+        """Both values used to pass config parsing and end the run in a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        rc = main(["run", "--scheduler", "drl", "--config", str(cfg), "--episodes", "1",
+                   "--nodes", "4", "--tasks", "10", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "drl.csv").exists()
 
     def test_nodes_flag_out_of_range_exits_2(self, tmp_path):
         """End to end through a fresh interpreter: one line on stderr, exit 2."""

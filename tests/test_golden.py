@@ -1,11 +1,13 @@
-"""Byte contract: the seed-42 episode CSV of each baseline on a small loaded
-cluster is pinned by its sha256.
+"""Byte contract: the seed-42 episode CSV of every scheduler on a small loaded
+cluster is pinned by its sha256, and so is the drl checkpoint.
 
 20 nodes at 8 arrivals/s (about 0.9 of cluster cores) keep a min-min backlog
 of up to ~160 pending tasks and some tasks past their deadline; the 300-s
-horizon ends each episode inside the arrival stream. A change to scheduling,
-the engine or workload generation that moves any byte of these CSVs is a
-contract change and must update the hashes on purpose.
+horizon ends each episode inside the arrival stream. drl trains online over
+both episodes, so its CSV and checkpoint also pin selection, replay and the
+update step. A change to scheduling, the engine, workload generation or the
+learner that moves any byte of these files is a contract change and must
+update the hashes on purpose.
 """
 
 import hashlib
@@ -16,13 +18,15 @@ from marlsched.experiment import ExperimentConfig, run_scheduler
 from marlsched.simenv import SimConfig
 
 GOLDEN_SHA256 = {
-    "random": "1ec4b50ad2b8650b53f4ed7889e6090be8571d42fce88590e0991b0078fcf5f7",
-    "wrr": "271fb3eebc5dfca9e5b1b7a36906f66029b4e93b970f9fc57b91783bf6aa51bc",
-    "minmin": "95c2dc0bf41af239f76be05df3d2ac5f3fffc321fb92cc38486c46637474cdb4",
+    "random.csv": "1ec4b50ad2b8650b53f4ed7889e6090be8571d42fce88590e0991b0078fcf5f7",
+    "wrr.csv": "271fb3eebc5dfca9e5b1b7a36906f66029b4e93b970f9fc57b91783bf6aa51bc",
+    "minmin.csv": "95c2dc0bf41af239f76be05df3d2ac5f3fffc321fb92cc38486c46637474cdb4",
+    "drl.csv": "e8dd18d941174e84d9017a28416251117337bf3e0916614809311323d3fe64c6",
+    "drl_checkpoint.npz": "0749812ae37e0753e0a440fdc81912d262fbde2d89b0aba8a8e20d85acb00943",
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+@pytest.mark.parametrize("name", ["drl", "minmin", "random", "wrr"])
 def test_episode_csv_bytes(name, tmp_path):
     config = ExperimentConfig(
         master_seed=42, n_nodes=20, n_tasks=2600, episodes=2, final_window=1,
@@ -30,5 +34,6 @@ def test_episode_csv_bytes(name, tmp_path):
         output_dir=str(tmp_path),
     )
     run_scheduler(config, name)
-    digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_SHA256[name]
+    for fname, digest in GOLDEN_SHA256.items():
+        if fname.startswith(name):
+            assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname

@@ -71,6 +71,17 @@ class TestNetwork:
         b = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
 
+    def test_init_draws_w1_w2_wv_in_stream_order(self):
+        """init_agent's weights are the stream's draws in the order W1, W2, Wv,
+        each scaled as (2u - 1) * sqrt(2 / fan_in)."""
+        h = small_hyper()
+        agent = init_agent(derive_stream(0, "a"), h, 6, 3)
+        u = derive_stream(0, "a").uniform_array(4 * 6 + 3 * 4 + 4)
+        assert np.array_equal(agent.W1, (2.0 * u[:24].reshape(4, 6) - 1.0) * np.sqrt(2.0 / 6))
+        assert np.array_equal(agent.W2, (2.0 * u[24:36].reshape(3, 4) - 1.0) * np.sqrt(2.0 / 4))
+        assert np.array_equal(agent.Wv, (2.0 * u[36:] - 1.0) * np.sqrt(2.0 / 4))
+        assert agent.bv == 0.0 and agent.current_lr == h.learning_rate
+
     def test_zero_params_uniform_policy(self):
         policy, value, _ = forward(zero_agent(H, OBS_DIM, 100), np.zeros(50))
         assert np.allclose(policy, 0.01)
@@ -616,3 +627,97 @@ class TestDrlScheduler:
                 else:
                     assert buf.rows.alive[k] == 1.0
                     assert np.array_equal(buf.rows.next_obs[k], calls[c + 1][i])
+
+
+def reference_select(state, pending, self_probs, s, h, explore_epsilon):
+    """The per-node scoring loop ``select_assignments`` ran before it scored
+    every node at once: (task, node) pairs."""
+    def score(p, util, mem_frac, task, cpu_capacity):
+        compat = min(max(1.0 - abs(task.cpu / cpu_capacity - 0.5), 0.0), 1.0)
+        return (h.w_pi * p + h.w_load * (1.0 - util) + h.w_mem * (1.0 - mem_frac)
+                + h.w_compat * compat)
+
+    order = sorted(pending, key=lambda t: (-priority_score(t, state.time, h), t.id))
+    util = {n.spec.id: state.cpu_in_use[n.spec.id] / n.spec.cpu_capacity for n in state.nodes}
+    mem_frac = {n.spec.id: state.mem_in_use[n.spec.id] / n.spec.mem_capacity for n in state.nodes}
+    decisions = []
+    for task in order:
+        feas = [n.spec.id for n in state.nodes
+                if task.cpu <= n.spec.cpu_capacity and task.mem <= n.spec.mem_capacity]
+        if not feas:
+            decisions.append((task.id, None))
+            continue
+        if explore_epsilon > 0.0 and s.uniform() < explore_epsilon:
+            u = s.uniform()
+            chosen = feas[min(int(u * len(feas)), len(feas) - 1)]
+        else:
+            chosen, best = None, None
+            for nid in feas:
+                sc = score(self_probs[nid], util[nid], mem_frac[nid], task,
+                           state.nodes[nid].spec.cpu_capacity)
+                if best is None or sc > best:
+                    chosen, best = nid, sc
+        spec = state.nodes[chosen].spec
+        util[chosen] += task.cpu / spec.cpu_capacity
+        mem_frac[chosen] += task.mem / spec.mem_capacity
+        decisions.append((task.id, chosen))
+    return decisions
+
+
+class TestSelectionOracle:
+    """The masked-argmax placement equals the per-node loop, decision for decision,
+    and consumes the same draws."""
+
+    @staticmethod
+    def random_case(seed):
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(1, 10))
+        # few distinct specs, loads and probabilities, so equal scores are common
+        nodes = [node(i, cpu=float(rng.choice([2, 4, 8])), mem=float(rng.choice([4, 16])))
+                 for i in range(n_nodes)]
+        state = init_episode(SimConfig(), [], nodes)
+        for i, nd in enumerate(state.nodes):
+            state.cpu_in_use[i] = float(rng.choice([0.0, 0.5, 1.0])) * nd.spec.cpu_capacity
+            state.mem_in_use[i] = float(rng.choice([0.0, 0.25])) * nd.spec.mem_capacity
+        probs = rng.choice([0.0, 0.125, 0.5], size=n_nodes)
+        pending = [
+            # up to 12 cores or 20 GB: some tasks are feasible nowhere
+            task(i, duration=float(rng.choice([5.0, 20.0])),
+                 cpu=float(rng.choice([0.5, 1.0, 2.0, 4.0, 12.0])),
+                 mem=float(rng.choice([0.5, 2.0, 20.0])), priority=int(rng.integers(0, 3)))
+            for i in rng.permutation(int(rng.integers(0, 25)))
+        ]
+        return state, pending, probs
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_states(self, seed, eps):
+        state, pending, probs = self.random_case(seed)
+        s, s_ref = derive_stream(seed, "explore"), derive_stream(seed, "explore")
+        got = select_assignments(state, pending, probs, s, H, eps)
+        assert [(d.task_id, d.node_id) for d in got] == reference_select(
+            state, pending, probs, s_ref, H, eps)
+        assert s.uniform() == s_ref.uniform()     # the stream ends at the same position
+
+    def test_equal_spec_idle_nodes_tie_to_lowest_id(self):
+        state = init_episode(SimConfig(), [], [node(i) for i in range(5)])
+        pending = [task(i, cpu=1.0) for i in range(3)]
+        got = select_assignments(state, pending, np.zeros(5), None, H, 0.0)
+        assert [d.node_id for d in got] == [0, 1, 2]
+
+    def test_loaded_cluster_matches_reference(self):
+        from marlsched.cluster import generate_cluster
+
+        state = init_episode(SimConfig(), [], generate_cluster(derive_stream(3, "cl"), 100))
+        rng = np.random.default_rng(3)
+        state.cpu_in_use[:] = rng.uniform(0.0, 1.0, 100) * state.specs.cpu_capacity
+        state.mem_in_use[:] = rng.uniform(0.0, 1.0, 100) * state.specs.mem_capacity
+        probs = rng.uniform(0.0, 0.05, 100)
+        pending = [task(i, cpu=float(rng.lognormal(0.5, 0.8)), mem=float(rng.lognormal(2.0, 1.0)),
+                        priority=int(rng.integers(0, 3)))
+                   for i in range(200)]
+        for eps in (0.0, 0.3):
+            s, s_ref = derive_stream(3, "explore"), derive_stream(3, "explore")
+            got = [(d.task_id, d.node_id) for d in select_assignments(state, pending, probs, s, H, eps)]
+            assert got == reference_select(state, pending, probs, s_ref, H, eps)
+            assert s.uniform() == s_ref.uniform()

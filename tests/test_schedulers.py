@@ -126,8 +126,8 @@ class TestPriorityMinMin:
 def minmin_oracle(state, pending):
     """The per-node scan min-min ran before it was array-shaped: (task, node) pairs."""
     order = sorted(pending, key=lambda t: (t.priority, t.arrival, t.id))
-    cpu_used = {n.spec.id: n.cpu_in_use for n in state.nodes}
-    mem_used = {n.spec.id: n.mem_in_use for n in state.nodes}
+    cpu_used = {n.spec.id: state.cpu_in_use[n.spec.id] for n in state.nodes}
+    mem_used = {n.spec.id: state.mem_in_use[n.spec.id] for n in state.nodes}
     decisions = []
     for t in order:
         best, best_util = None, None
@@ -157,10 +157,10 @@ class TestPriorityMinMinOracle:
         nodes = [node(i, cpu=float(rng.choice([2, 4, 8])), mem=float(rng.choice([4, 8, 16])))
                  for i in range(n_nodes)]
         state = init_episode(SimConfig(), [], nodes)
-        for nd in state.nodes:
+        for i, nd in enumerate(state.nodes):
             share = float(rng.choice([0.0, 0.25, 0.5, 1.0]))   # 1.0: saturated node
-            nd.cpu_in_use = share * nd.spec.cpu_capacity
-            nd.mem_in_use = float(rng.choice([0.0, 0.5])) * nd.spec.mem_capacity
+            state.cpu_in_use[i] = share * nd.spec.cpu_capacity
+            state.mem_in_use[i] = float(rng.choice([0.0, 0.5])) * nd.spec.mem_capacity
         pending = [
             # cpu up to 12 cores: some tasks fit no node at all
             task(i, cpu=float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 12.0])),
@@ -184,9 +184,9 @@ class TestPriorityMinMinOracle:
         nodes = generate_cluster(derive_stream(3, "cl"), 100)
         state = init_episode(SimConfig(), [], nodes)
         rng = np.random.default_rng(3)
-        for nd in state.nodes:
-            nd.cpu_in_use = float(rng.uniform(0.0, 1.0)) * nd.spec.cpu_capacity
-            nd.mem_in_use = float(rng.uniform(0.0, 1.0)) * nd.spec.mem_capacity
+        for i, nd in enumerate(state.nodes):
+            state.cpu_in_use[i] = float(rng.uniform(0.0, 1.0)) * nd.spec.cpu_capacity
+            state.mem_in_use[i] = float(rng.uniform(0.0, 1.0)) * nd.spec.mem_capacity
         pending = [task(i, cpu=float(rng.lognormal(0.5, 0.8)), mem=float(rng.lognormal(2.0, 1.0)),
                         arrival=float(i // 7), priority=int(rng.integers(0, 3)))
                    for i in range(600)]

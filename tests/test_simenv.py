@@ -10,6 +10,8 @@ from marlsched.cluster import (
     MAX_P_IDLE,
     NodeSpec,
     generate_cluster,
+    stack_specs,
+    step_energy,
 )
 from marlsched.rng import derive_stream
 from marlsched.simenv import (
@@ -18,7 +20,10 @@ from marlsched.simenv import (
     OBS_DIM,
     QUEUE_WINDOW,
     TASK_FEATURES,
+    CompletionRecord,
+    RunningTask,
     SimConfig,
+    StepReport,
     advance,
     build_observation,
     enqueue_assignment,
@@ -52,10 +57,11 @@ class TestInit:
         nodes = generate_cluster(derive_stream(42, "cl"), 100)
         state = init_episode(SimConfig(), tasks, nodes)
         assert state.n_nodes == 100
-        assert all(n.cpu_in_use == 0.0 and not n.running and not n.queue for n in state.nodes)
+        assert all(not n.running and not n.queue for n in state.nodes)
+        assert state.cpu_in_use.tolist() == [0.0] * 100
         assert total_energy(state) == 0.0
         assert not state.all_resolved()
-        assert np.var([n.utilization for n in state.nodes]) == 0.0
+        assert np.var(state.utilization()) == 0.0
 
     def test_empty_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -88,7 +94,7 @@ class TestAssignment:
         assert not nd.queue and len(nd.running) == 1
         rt = nd.running[0]
         assert rt.start_time == 0.0 and rt.finish_time == 10.0
-        assert nd.cpu_in_use == 2.0
+        assert state.cpu_in_use[0] == 2.0
 
     def test_busy_node_queues(self):
         ts = [task(0, 10.0, cpu=3.0), task(1, 10.0, cpu=3.0)]
@@ -325,8 +331,8 @@ def reference_observation(state, node_id):
     node = state.nodes[node_id]
     obs = np.zeros(OBS_DIM)
     spec = node.spec
-    obs[0] = node.utilization
-    obs[1] = node.mem_in_use / spec.mem_capacity
+    obs[0] = state.cpu_in_use[node_id] / spec.cpu_capacity
+    obs[1] = state.mem_in_use[node_id] / spec.mem_capacity
     obs[2] = min(len(node.queue), 50) / 50.0
     obs[3] = spec.cpu_capacity / MAX_CPU_CAPACITY
     obs[4] = spec.mem_capacity / MAX_MEM_CAPACITY
@@ -340,7 +346,7 @@ def reference_observation(state, node_id):
         neighbor_ids.append((node_id + off) % n)
     neighbor_ids = [i for i in dict.fromkeys(neighbor_ids) if i != node_id]
     if neighbor_ids:
-        nb = np.array([state.nodes[i].utilization for i in neighbor_ids])
+        nb = np.array([state.cpu_in_use[i] / state.nodes[i].spec.cpu_capacity for i in neighbor_ids])
         obs[7] = nb.mean()
         obs[8] = nb.min()
         obs[9] = nb.max()
@@ -378,3 +384,177 @@ def test_batched_observation_rows_match_reference(n):
         queued += sum(len(nd.queue) for nd in state.nodes)
         advance(state, 5.0)
     assert queued > 0 and 8 in windows and len(windows) > 2
+
+
+# The completion, admission and energy passes as the engine ran them before its
+# running lists were kept in completion order and its energy was one array call:
+# admission appends, each step sorts a node's finished tasks and removes them one
+# by one, and each node's energy is its own scalar step_energy call.
+
+def reference_admit(state, i, now):
+    node = state.nodes[i]
+    while node.queue:
+        task = state.tasks[node.queue[0]]
+        if (
+            state.cpu_in_use[i] + task.cpu <= node.spec.cpu_capacity
+            and state.mem_in_use[i] + task.mem <= node.spec.mem_capacity
+        ):
+            node.queue.pop(0)
+            node.running.append(RunningTask(task.id, node.spec.id, now, now + task.duration))
+            state.cpu_in_use[i] += task.cpu
+            state.mem_in_use[i] += task.mem
+        else:
+            break
+
+
+def reference_enqueue(state, task_id, node_id):
+    del state.pending[task_id]
+    state.nodes[node_id].queue.append(task_id)
+    reference_admit(state, node_id, state.time)
+
+
+def reference_advance(state, dt):
+    new_time = state.time + dt
+    completions = []
+    for i, node in enumerate(state.nodes):
+        done = sorted((rt for rt in node.running if rt.finish_time <= new_time),
+                      key=lambda rt: (rt.finish_time, rt.task_id))
+        for rt in done:
+            node.running.remove(rt)
+            task = state.tasks[rt.task_id]
+            state.cpu_in_use[i] -= task.cpu
+            state.mem_in_use[i] -= task.mem
+            completions.append(CompletionRecord(
+                task_id=task.id, arrival=task.arrival, finish_time=rt.finish_time,
+                completion_time=rt.finish_time - task.arrival,
+                met_sla=rt.finish_time <= task.deadline, priority=task.priority,
+                node_id=node.spec.id,
+            ))
+        if not node.running:
+            state.cpu_in_use[i] = 0.0
+            state.mem_in_use[i] = 0.0
+    for i in range(state.n_nodes):
+        reference_admit(state, i, new_time)
+    arrived = []
+    while (state._next_arrival_idx < len(state._arrival_order)
+           and state.tasks[state._arrival_order[state._next_arrival_idx]].arrival <= new_time):
+        arrived.append(state._arrival_order[state._next_arrival_idx])
+        state.pending[arrived[-1]] = None
+        state._next_arrival_idx += 1
+    dropped = [tid for tid in state.pending if state.tasks[tid].deadline < new_time]
+    for tid in dropped:
+        del state.pending[tid]
+    state.dropped.extend(dropped)
+    node_energy = []
+    utils = np.empty(state.n_nodes)
+    for i, node in enumerate(state.nodes):
+        e = step_energy(node.spec, float(state.cpu_in_use[i]), dt)
+        node.energy_joules += e
+        node_energy.append(e)
+        utils[i] = state.cpu_in_use[i] / node.spec.cpu_capacity
+    util_variance = float(np.var(utils))
+    state.util_variance_sum += util_variance
+    state.steps += 1
+    state.time = new_time
+    state.completions.extend(completions)
+    return StepReport(arrived=arrived, completions=completions, dropped=dropped,
+                      energy_joules=sum(node_energy), util_variance=util_variance)
+
+
+class TestAdvanceOracle:
+    """``advance`` equals the sort-and-remove reference step for step, bit for bit."""
+
+    @staticmethod
+    def random_case(seed):
+        rng = np.random.default_rng(seed)
+        nodes = [node(i, cpu=float(rng.choice([2, 4, 8])), mem=float(rng.choice([4, 8, 16])),
+                      p_idle=float(rng.choice([37.3, 100.0])), p_dyn=float(rng.choice([91.7, 200.0])))
+                 for i in range(int(rng.integers(1, 7)))]
+        # Arrivals and durations on a coarse grid, so tasks started together
+        # often finish together; odd cpu shares make the sums drift.
+        arrivals = np.sort(rng.choice(np.arange(0.0, 150.0, 2.5), size=int(rng.integers(1, 60))))
+        tasks = [task(k, float(rng.choice([2.5, 5.0, 7.5, 10.0, 40.0])),
+                      cpu=float(rng.choice([0.1, 0.3, 0.7, 1.0, 2.0, 9.0])),
+                      mem=float(rng.choice([0.2, 1.1, 3.0])), arrival=float(a),
+                      priority=int(rng.integers(0, 3)))
+                 for k, a in enumerate(arrivals)]
+        return rng, tasks, nodes
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_episodes(self, seed):
+        rng, tasks, nodes = self.random_case(seed)
+        state = init_episode(SimConfig(), tasks, nodes)
+        ref = init_episode(SimConfig(), tasks, nodes)
+        while state.time < 300.0:
+            assert list(state.pending) == list(ref.pending)
+            for tid in list(state.pending):
+                feas = feasible_nodes(state, state.tasks[tid])
+                if feas and rng.random() < 0.6:
+                    nid = feas[int(rng.integers(len(feas)))]
+                    enqueue_assignment(state, tid, nid)
+                    reference_enqueue(ref, tid, nid)
+            report = advance(state, 5.0)
+            want = reference_advance(ref, 5.0)
+            assert report == want
+            assert np.array_equal(state.cpu_in_use, ref.cpu_in_use)
+            assert np.array_equal(state.mem_in_use, ref.mem_in_use)
+            assert [n.energy_joules for n in state.nodes] == [n.energy_joules for n in ref.nodes]
+            for got, exp in zip(state.nodes, ref.nodes):
+                assert got.queue == exp.queue
+                assert sorted(got.running, key=lambda rt: rt.task_id) == \
+                    sorted(exp.running, key=lambda rt: rt.task_id)
+                assert got.running == sorted(got.running, key=lambda rt: (rt.finish_time, rt.task_id))
+        assert state.dropped == ref.dropped and state.completions == ref.completions
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_large_loaded_cluster(self, seed):
+        """100 nodes: enough terms that a pairwise (numpy) sum of the step
+        energy would differ from the node-order sum."""
+        rng = np.random.default_rng(seed)
+        tasks = generate_workload(derive_stream(seed, "wl"), 800, arrival_rate=4.0)
+        nodes = generate_cluster(derive_stream(seed, "cl"), 100)
+        state = init_episode(SimConfig(), tasks, nodes)
+        ref = init_episode(SimConfig(), tasks, nodes)
+        for _ in range(40):
+            for tid in list(state.pending):
+                feas = feasible_nodes(state, state.tasks[tid])
+                if feas and rng.random() < 0.8:
+                    nid = feas[int(rng.integers(len(feas)))]
+                    enqueue_assignment(state, tid, nid)
+                    reference_enqueue(ref, tid, nid)
+            assert advance(state, 5.0) == reference_advance(ref, 5.0)
+            assert [n.energy_joules for n in state.nodes] == [n.energy_joules for n in ref.nodes]
+        assert state.completions and np.count_nonzero(state.cpu_in_use) > 10
+
+    def test_equal_finish_times_complete_in_task_id_order(self):
+        """Three tasks finishing at the same instant on one node, admitted in
+        the reverse of their id order, complete in id order."""
+        ts = [task(0, 10.0, cpu=1.0), task(1, 5.0, cpu=1.0), task(3, 10.0, cpu=1.0),
+              task(2, 5.0, cpu=1.0, arrival=5.0)]
+        state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
+        enqueue_assignment(state, 3, 0)    # 0-10
+        enqueue_assignment(state, 1, 0)    # 0-5
+        enqueue_assignment(state, 0, 0)    # 0-10
+        assert [rt.task_id for rt in state.nodes[0].running] == [1, 0, 3]
+        advance(state, 5.0)
+        enqueue_assignment(state, 2, 0)    # 5-10
+        assert [rt.task_id for rt in state.nodes[0].running] == [0, 2, 3]
+        report = advance(state, 5.0)
+        assert [c.task_id for c in report.completions] == [0, 2, 3]
+        assert state.cpu_in_use[0] == 0.0 and not state.nodes[0].running
+
+    def test_population_energy_equals_per_node_calls(self):
+        """One population step_energy call gives each node's scalar call, bit for bit."""
+        nodes = generate_cluster(derive_stream(11, "cl"), 100)
+        specs = stack_specs(nodes)
+        rng = np.random.default_rng(11)
+        cpu = rng.uniform(0.0, 1.0, size=100) * specs.cpu_capacity
+        cpu[::7] = 0.0
+        cpu[3::7] = specs.cpu_capacity[3::7]
+        energy = step_energy(specs, cpu, 5.0)
+        assert energy.tolist() == [step_energy(n, c, 5.0) for n, c in zip(nodes, cpu.tolist())]
+
+    def test_population_energy_names_the_node_out_of_range(self):
+        nodes = [node(0), node(1, cpu=8.0), node(2)]
+        with pytest.raises(ValueError, match=r"^cpu in use 9\.0 outside \[0, 8\.0\] on node 1$"):
+            step_energy(stack_specs(nodes), np.array([1.0, 9.0, 5.0]), 5.0)
