@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -99,11 +100,14 @@ class ExperimentConfig:
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: an int fits float, a bool only
-    bool, null only an annotation allowing None, a list a tuple of its element type."""
+    bool, null only an annotation allowing None, a list a tuple of its element type;
+    NaN fits nothing."""
     if isinstance(hint, UnionType):
         return any(_fits(value, h) for h in get_args(hint))
     if get_origin(hint) is tuple:
         return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
+    if isinstance(value, float) and math.isnan(value):
+        return False
     types = (int, float) if hint is float else hint
     return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
 
@@ -261,6 +265,7 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
         rows[name] = row
 
     tests = {}
+    skipped = {}
     improvements = {}
     if "drl" in all_results:
         n_baselines = sum(1 for n in all_results if n != "drl")
@@ -269,8 +274,12 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
             if name == "drl":
                 continue
             base_atct = _final_values(results, "atct", k)
-            t, p = welch_t_test(drl_atct, base_atct)
-            tests[name] = {"t": t, "p": p, "p_bonferroni": bonferroni(p, n_baselines)}
+            if min(len(drl_atct), len(base_atct)) < 2:
+                skipped[name] = (f"Welch needs 2 final-window ATCT values per side, "
+                                 f"got {len(drl_atct)} (drl) and {len(base_atct)} ({name})")
+            else:
+                t, p = welch_t_test(drl_atct, base_atct)
+                tests[name] = {"t": t, "p": p, "p_bonferroni": bonferroni(p, n_baselines)}
             # per-episode relative ATCT improvement of drl over the baseline
             rel = [(b - d) / b for d, b in zip(drl_atct, base_atct) if b]
             if len(rel) >= 2:
@@ -279,7 +288,7 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
                     "ci95": confidence_interval_95(rel),
                 }
     return {"config": config, "rows": rows, "tests_atct_vs_drl": tests,
-            "improvement_over": improvements}
+            "tests_skipped": skipped, "improvement_over": improvements}
 
 
 COMPARISON_CSV_COLUMNS = [
@@ -326,12 +335,14 @@ def format_report(report: dict) -> str:
             f"{row['completed_mean']:>10.1f} {row['energy_per_completed_kwh']:>10.5f} "
             f"{row['mean_decision_ms']:>12.3f}"
         )
-    if report["tests_atct_vs_drl"]:
+    if report["tests_atct_vs_drl"] or report["tests_skipped"]:
         lines.append("")
         lines.append("ATCT tests vs drl (Welch, two-sided; Bonferroni-corrected alongside raw):")
         for name, test in report["tests_atct_vs_drl"].items():
             lines.append(f"  drl vs {name:<8} t={test['t']:+.3f}  p={test['p']:.4g}  "
                          f"p_bonf={test['p_bonferroni']:.4g}")
+        for name, reason in report["tests_skipped"].items():
+            lines.append(f"  drl vs {name:<8} skipped: {reason}")
     if report["improvement_over"]:
         lines.append("")
         lines.append("Relative ATCT improvement of drl (95% CI over paired episodes):")

@@ -11,7 +11,7 @@ agent's replay keeps its transitions as array rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -64,30 +64,21 @@ class Hyperparams:
 
 @dataclass
 class AgentParams:
-    """One agent's parameters, or a population's: then every field carries a
-    leading agent axis, e.g. ``W1`` is (n_agents, hidden, obs_dim) and ``bv``
-    is (n_agents,)."""
+    """A population of agents: every field carries a leading agent axis, agent i
+    at index i. A single agent is a population of one."""
 
-    W1: np.ndarray   # (hidden, obs_dim)
-    b1: np.ndarray   # (hidden,)
-    W2: np.ndarray   # (n_actions, hidden)
-    b2: np.ndarray   # (n_actions,)
-    Wv: np.ndarray   # (hidden,)
-    bv: float
-    current_lr: float
+    W1: np.ndarray          # (n_agents, hidden, obs_dim)
+    b1: np.ndarray          # (n_agents, hidden)
+    W2: np.ndarray          # (n_agents, n_actions, hidden)
+    b2: np.ndarray          # (n_agents, n_actions)
+    Wv: np.ndarray          # (n_agents, hidden)
+    bv: np.ndarray          # (n_agents,)
+    current_lr: np.ndarray  # (n_agents,)
 
     @property
     def n_params(self) -> int:
-        return self.W1.size + self.b1.size + self.W2.size + self.b2.size + self.Wv.size + np.size(self.bv)
-
-    def agent(self, i: int) -> "AgentParams":
-        """Agent i of a population, as views: updating them updates the population."""
-        return AgentParams(*(getattr(self, f.name)[i, ...] for f in fields(self)))
-
-
-def stack_agents(agents: Sequence[AgentParams]) -> AgentParams:
-    """The population of ``agents``, agent i at index i of every array."""
-    return AgentParams(*(np.stack([getattr(a, f.name) for a in agents]) for f in fields(AgentParams)))
+        """Parameters per agent."""
+        return sum(a.size for a in (self.W1, self.b1, self.W2, self.b2, self.Wv, self.bv)) // len(self.bv)
 
 
 def expected_param_count(obs_dim: int, hidden: int, n_actions: int) -> int:
@@ -118,30 +109,23 @@ def init_agents(streams: Sequence[RngStream], h: Hyperparams, obs_dim: int,
     return agents
 
 
-def init_agent(s: RngStream, h: Hyperparams, obs_dim: int, n_actions: int) -> AgentParams:
-    """One agent, drawn as by ``init_agents``, with scalar ``bv`` and ``current_lr``."""
-    return replace(init_agents([s], h, obs_dim, n_actions).agent(0), bv=0.0,
-                   current_lr=h.learning_rate)
-
-
-def forward(params: AgentParams, obs: np.ndarray):
+def forward(agents: AgentParams, obs: np.ndarray):
     """Policy distribution, value estimate and the hidden activation cache.
 
-    For a population, ``obs`` holds one row per agent and every output gains
-    the agent axis. Each matrix-vector product is written as a stack of
-    ``(W @ x[..., None])[..., 0]``, which gives every agent the same bits as
-    its own ``W @ x``.
+    ``obs`` holds one row per agent and every output has the agent axis. Each
+    matrix-vector product is written as a stack of ``(W @ x[..., None])[..., 0]``,
+    which gives every agent the same bits as its own ``W @ x``.
     """
     obs = np.asarray(obs, dtype=float)
-    expected = params.W1.shape[:-2] + params.W1.shape[-1:]
+    expected = agents.W1.shape[:-2] + agents.W1.shape[-1:]
     if obs.shape != expected:
         raise ValueError(f"observation shape {obs.shape} != {expected}")
-    hidden = np.maximum((params.W1 @ obs[..., None])[..., 0] + params.b1, 0.0)
-    logits = (params.W2 @ hidden[..., None])[..., 0] + params.b2
+    hidden = np.maximum((agents.W1 @ obs[..., None])[..., 0] + agents.b1, 0.0)
+    logits = (agents.W2 @ hidden[..., None])[..., 0] + agents.b2
     logits = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(logits)
     policy = exp / exp.sum(axis=-1, keepdims=True)
-    value = (params.Wv[..., None, :] @ hidden[..., None])[..., 0, 0] + params.bv
+    value = (agents.Wv[..., None, :] @ hidden[..., None])[..., 0, 0] + agents.bv
     if not (np.all(np.isfinite(policy)) and np.all(np.isfinite(value))):
         raise FloatingPointError("non-finite network output")
     return policy, value, hidden
@@ -305,28 +289,29 @@ class ReplayBuffer:
         return Experience(*(column[idx] for column in self.rows))
 
 
-def apply_update(params: AgentParams, batch: Experience, gamma: float,
+def apply_update(agents: AgentParams, i: int, batch: Experience, gamma: float,
                  grad_clip_norm: float | None = None,
                  lr_decay: float = Hyperparams.lr_decay) -> None:
-    """One averaged semi-gradient step: policy ascent on log-prob times
-    advantage, value descent on squared TD error; then decay the rate by
-    ``lr_decay``. Parameters are updated in place, so ``params`` may be views
-    into a population (``AgentParams.agent``)."""
+    """One averaged semi-gradient step of agent ``i`` of the population: policy
+    ascent on log-prob times advantage, value descent on squared TD error; then
+    decay its rate by ``lr_decay``. Agent i's rows are updated in place."""
     obs, nxt, actions, rewards, alive = batch
     n = len(actions)
     if not n:
         raise ValueError("batch must be nonempty")
 
-    h_pre = obs @ params.W1.T + params.b1
+    W1, b1, W2, b2, Wv = agents.W1[i], agents.b1[i], agents.W2[i], agents.b2[i], agents.Wv[i]
+    bv = agents.bv[i]
+    h_pre = obs @ W1.T + b1
     hid = np.maximum(h_pre, 0.0)
-    logits = hid @ params.W2.T + params.b2
+    logits = hid @ W2.T + b2
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     policy = exp / exp.sum(axis=1, keepdims=True)
-    values = hid @ params.Wv + params.bv
+    values = hid @ Wv + bv
 
-    hid_next = np.maximum(nxt @ params.W1.T + params.b1, 0.0)
-    values_next = hid_next @ params.Wv + params.bv
+    hid_next = np.maximum(nxt @ W1.T + b1, 0.0)
+    values_next = hid_next @ Wv + bv
     delta = rewards + gamma * values_next * alive - values
 
     # actor: d(-log pi_a * delta)/d logits
@@ -340,7 +325,7 @@ def apply_update(params: AgentParams, batch: Experience, gamma: float,
     d_b2 = g_logits.sum(axis=0) / n
     d_wv = (g_value[:, None] * hid).sum(axis=0) / n
     d_bv = g_value.sum() / n
-    d_hid = g_logits @ params.W2 + g_value[:, None] * params.Wv[None, :]
+    d_hid = g_logits @ W2 + g_value[:, None] * Wv[None, :]
     d_hpre = d_hid * (h_pre > 0)
     d_w1 = d_hpre.T @ obs / n
     d_b1 = d_hpre.sum(axis=0) / n
@@ -356,14 +341,14 @@ def apply_update(params: AgentParams, batch: Experience, gamma: float,
             d_w1, d_b1, d_w2, d_b2, d_wv = (g * scale for g in grads)
             d_bv *= scale
 
-    lr = float(params.current_lr)
-    params.W1 -= lr * d_w1
-    params.b1 -= lr * d_b1
-    params.W2 -= lr * d_w2
-    params.b2 -= lr * d_b2
-    params.Wv -= lr * d_wv
-    params.bv -= lr * d_bv
-    params.current_lr *= lr_decay
+    lr = agents.current_lr.item(i)
+    W1 -= lr * d_w1
+    b1 -= lr * d_b1
+    W2 -= lr * d_w2
+    b2 -= lr * d_b2
+    Wv -= lr * d_wv
+    agents.bv[i] -= lr * d_bv
+    agents.current_lr[i] *= lr_decay
 
 
 def decay_explore(epsilon: float, h: Hyperparams) -> float:
@@ -423,7 +408,7 @@ class DrlScheduler(Scheduler):
         for i, buf in enumerate(self.buffers):
             if len(buf) >= self.h.batch_size:
                 batch = buf.sample(self.h.batch_size, self._stream)
-                apply_update(self.agents.agent(i), batch, self.h.gamma, self.h.grad_clip_norm,
+                apply_update(self.agents, i, batch, self.h.gamma, self.h.grad_clip_norm,
                              self.h.lr_decay)
 
     def _store_placed(self, next_obs: np.ndarray, alive: float) -> None:

@@ -28,7 +28,7 @@ class EpisodeMetrics:
 
 def max_energy_kwh(state: SimState, horizon: float) -> float:
     """Theoretical maximum: every node at full power for the whole horizon."""
-    return sum((n.spec.p_idle + n.spec.p_dyn) for n in state.nodes) * horizon / 3.6e6
+    return sum((state.specs.p_idle + state.specs.p_dyn).tolist()) * horizon / 3.6e6
 
 
 def objective_j(

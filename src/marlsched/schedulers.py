@@ -76,22 +76,20 @@ class WeightedRoundRobinScheduler(Scheduler):
         self._credits = None
 
     def reset(self, state, stream=None):
-        self._credits = [0.0] * state.n_nodes
+        self._credits = np.zeros(state.n_nodes)
 
     def assign(self, state, pending):
+        credits, weight = self._credits, state.specs.cpu_capacity
         decisions = []
         for task in pending:
             feas = feasible_nodes(state, task)
             if not feas:
                 decisions.append(SchedulerDecision(task.id, None))
                 continue
-            total = 0.0
-            for nid in feas:
-                w = state.nodes[nid].spec.cpu_capacity
-                self._credits[nid] += w
-                total += w
-            chosen = max(feas, key=lambda nid: (self._credits[nid], -nid))
-            self._credits[chosen] -= total
+            w = weight[feas]
+            credits[feas] += w
+            chosen = feas[int(credits[feas].argmax())]   # the first maximum: ties to the lowest id
+            credits[chosen] -= sum(w.tolist())   # added in node order, as a loop over feas adds
             decisions.append(SchedulerDecision(task.id, chosen))
         return decisions
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import attrgetter
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -47,23 +47,9 @@ class SimConfig:
 
 
 @dataclass
-class RunningTask:
-    task_id: int
-    node_id: int
-    start_time: float
-    finish_time: float
-
-
-# Completion order: a node's running list is kept sorted by it.
-_completion_key = attrgetter("finish_time", "task_id")
-_finish_time = attrgetter("finish_time")
-
-
-@dataclass
 class NodeState:
-    spec: NodeSpec
-    # sorted by (finish_time, task_id), so a step's completions are a prefix
-    running: list[RunningTask] = field(default_factory=list)
+    # (finish_time, task_id) pairs in sorted order, so a step's completions are a prefix
+    running: list[tuple[float, int]] = field(default_factory=list)
     queue: list[int] = field(default_factory=list)  # assigned, waiting for admission (FIFO)
     energy_joules: float = 0.0
 
@@ -95,6 +81,8 @@ class SimState:
     config: SimConfig
     tasks: dict[int, Task]
     nodes: list[NodeState]
+    # the node specs as one population (``stack_specs``), indexed by node id
+    specs: NodeSpec
     time: float = 0.0
     # arrived, unassigned task ids in arrival order; a dict (values None) so
     # that membership and removal are O(1) and iteration keeps arrival order
@@ -105,8 +93,6 @@ class SimState:
     steps: int = 0
     _arrival_order: list[int] = field(default_factory=list)
     _next_arrival_idx: int = 0
-    # the node specs as one population (``stack_specs``), indexed by node id
-    specs: NodeSpec = field(init=False)
     # observation columns 3-6, which depend only on the specs
     static_obs: np.ndarray = field(init=False)
     # load of admitted tasks per node: cores and GB in use
@@ -114,7 +100,7 @@ class SimState:
     mem_in_use: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.specs = specs = stack_specs([n.spec for n in self.nodes])
+        specs = self.specs
         self.static_obs = np.stack([
             specs.cpu_capacity / MAX_CPU_CAPACITY,
             specs.mem_capacity / MAX_MEM_CAPACITY,
@@ -156,7 +142,8 @@ def init_episode(config: SimConfig, tasks: Sequence[Task], nodes: Sequence[NodeS
     state = SimState(
         config=config,
         tasks={t.id: t for t in tasks},
-        nodes=[NodeState(spec=n) for n in nodes],
+        nodes=[NodeState() for _ in nodes],
+        specs=stack_specs(nodes),
         _arrival_order=[t.id for t in tasks],
     )
     _reveal_arrivals(state, 0.0)
@@ -172,15 +159,15 @@ def feasible_nodes(state: SimState, task: Task) -> list[int]:
 def _try_admit(state: SimState, node_id: int, now: float) -> None:
     """FIFO admission scan on one node at time ``now``."""
     node = state.nodes[node_id]
-    queue, spec = node.queue, node.spec
+    queue, specs = node.queue, state.specs
+    cpu_cap, mem_cap = specs.cpu_capacity.item(node_id), specs.mem_capacity.item(node_id)
     cpu, mem = state.cpu_in_use.item(node_id), state.mem_in_use.item(node_id)
     while queue:
         task = state.tasks[queue[0]]
-        if cpu + task.cpu > spec.cpu_capacity or mem + task.mem > spec.mem_capacity:
+        if cpu + task.cpu > cpu_cap or mem + task.mem > mem_cap:
             break
         queue.pop(0)
-        insort(node.running, RunningTask(task.id, spec.id, now, now + task.duration),
-               key=_completion_key)
+        insort(node.running, (now + task.duration, task.id))
         cpu += task.cpu
         mem += task.mem
     state.cpu_in_use[node_id], state.mem_in_use[node_id] = cpu, mem
@@ -193,11 +180,12 @@ def enqueue_assignment(state: SimState, task_id: int, node_id: int) -> None:
     if task_id not in state.pending:
         raise ValueError(f"task {task_id} is not pending")
     task = state.tasks[task_id]
-    node = state.nodes[node_id]
-    if task.cpu > node.spec.cpu_capacity or task.mem > node.spec.mem_capacity:
+    queue = state.nodes[node_id].queue
+    specs = state.specs
+    if task.cpu > specs.cpu_capacity.item(node_id) or task.mem > specs.mem_capacity.item(node_id):
         raise ValueError(f"node {node_id} is statically infeasible for task {task_id}")
     del state.pending[task_id]
-    node.queue.append(task_id)
+    queue.append(task_id)
     _try_admit(state, node_id, state.time)
 
 
@@ -229,23 +217,23 @@ def advance(state: SimState, dt: float) -> StepReport:
     completions = []
     for i, node in enumerate(state.nodes):
         running = node.running
-        if not running or running[0].finish_time > new_time:
+        if not running or running[0][0] > new_time:
             continue
-        done = bisect_right(running, new_time, key=_finish_time)
+        done = bisect_right(running, (new_time, inf))
         cpu, mem = state.cpu_in_use.item(i), state.mem_in_use.item(i)
-        for rt in running[:done]:
-            task = state.tasks[rt.task_id]
+        for finish_time, task_id in running[:done]:
+            task = state.tasks[task_id]
             cpu -= task.cpu
             mem -= task.mem
             completions.append(
                 CompletionRecord(
-                    task_id=task.id,
+                    task_id=task_id,
                     arrival=task.arrival,
-                    finish_time=rt.finish_time,
-                    completion_time=rt.finish_time - task.arrival,
-                    met_sla=rt.finish_time <= task.deadline,
+                    finish_time=finish_time,
+                    completion_time=finish_time - task.arrival,
+                    met_sla=finish_time <= task.deadline,
                     priority=task.priority,
-                    node_id=node.spec.id,
+                    node_id=i,
                 )
             )
         del running[:done]

@@ -20,8 +20,7 @@ from marlsched.marl import (
     apply_update,
     expected_param_count,
     forward,
-    init_agent,
-    stack_agents,
+    init_agents,
     td_error,
 )
 from marlsched.cli import main as cli_main
@@ -141,29 +140,29 @@ def test_p3_network_correctness():
     t0 = time.perf_counter()
     checks = []
 
-    agent = init_agent(derive_stream(42, "p3"), Hyperparams(), OBS_DIM, 100)
+    agent = init_agents([derive_stream(42, "p3")], Hyperparams(), OBS_DIM, 100)
     checks.append(("parameter count 19,557 at (50, 128, 100)",
                    expected_param_count(50, 128, 100) == 19_557 and agent.n_params == 19_557))
 
     rng = np.random.default_rng(0)
-    worst = max(abs(forward(agent, rng.random(50))[0].sum() - 1.0) for _ in range(1000))
+    worst = max(abs(forward(agent, rng.random((1, 50)))[0].sum() - 1.0) for _ in range(1000))
     checks.append(("softmax normalization error <= 1e-9 on 1000 inputs", worst <= 1e-9))
 
     h = small_hyper()
     step = 1e-5
     worst_rel = 0.0
     for trial in range(100):
-        net = init_agent(derive_stream(trial, "p3-fd"), h, 6, 3)
+        net = init_agents([derive_stream(trial, "p3-fd")], h, 6, 3)
         batch = random_batch(rng)
-        deltas = td_error(stack_agents([net]), np.zeros(4, dtype=int), batch, 0.99)
+        deltas = td_error(net, np.zeros(4, dtype=int), batch, 0.99)
         targets = td_targets(net, batch)
         before = copy_params(net)
-        lr = net.current_lr
-        apply_update(net, batch, gamma=0.99, grad_clip_norm=None)
+        lr = net.current_lr[0]
+        apply_update(net, 0, batch, gamma=0.99, grad_clip_norm=None)
         analytic = np.concatenate([
             ((getattr(before, n) - getattr(net, n)) / lr).ravel()
             for n in ("W1", "b1", "W2", "b2", "Wv")
-        ] + [np.array([(before.bv - net.bv) / lr])])
+        ] + [(before.bv - net.bv) / lr])
         fd = []
         for name in ("W1", "b1", "W2", "b2", "Wv"):
             flat = getattr(before, name).ravel()

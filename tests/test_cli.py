@@ -250,9 +250,11 @@ class TestCliRun:
         ({"priority_mix": [0.5, 0.5, 0.5]},
          "priority_mix [0.5, 0.5, 0.5]: weights must sum to 1, got 1.5"),
         ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
+        ({"sim.dt": float("nan")}, "config key sim.dt must be float, not NaN"),
+        ({"hyper.gamma": float("nan")}, "config key hyper.gamma must be float, not NaN"),
     ])
     def test_config_that_failed_mid_run_exits_2(self, tmp_path, capsys, raw, message):
-        """Both values used to pass config parsing and end the run in a traceback."""
+        """Each value used to pass config parsing and end the run in a traceback."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         rc = main(["run", "--scheduler", "drl", "--config", str(cfg), "--episodes", "1",
@@ -310,6 +312,22 @@ class TestCliCompare:
         assert [r["scheduler"] for r in rows] == ["random", "wrr", "minmin", "drl"]
         baseline_rows = [r for r in rows if r["scheduler"] != "drl"]
         assert all(r["p_atct_vs_drl"] for r in baseline_rows)
+
+
+class TestCliCompareOneEpisode:
+    def test_final_window_of_one_skips_welch(self, tmp_path, capsys):
+        """One final-window value per scheduler is too few for Welch's test: the
+        report says so and both files are written."""
+        rc = main(["compare", "--episodes", "1", "--nodes", "4", "--tasks", "10",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = read_episode_csv(tmp_path / "comparison.csv")
+        assert [r["scheduler"] for r in rows] == ["random", "wrr", "minmin", "drl"]
+        assert all(r["p_atct_vs_drl"] == "" for r in rows)
+        report = (tmp_path / "report.txt").read_text()
+        for name in ("random", "wrr", "minmin"):
+            assert (f"drl vs {name:<8} skipped: Welch needs 2 final-window ATCT values per side, "
+                    f"got 1 (drl) and 1 ({name})") in report
 
 
 class TestCliPlot:

@@ -1,5 +1,8 @@
 """Actor-critic network, hybrid selection, reward, replay and update oracles."""
 
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,11 +19,10 @@ from marlsched.marl import (
     decay_explore,
     expected_param_count,
     forward,
-    init_agent,
+    init_agents,
     priority_score,
     save_checkpoint,
     select_assignments,
-    stack_agents,
     td_error,
 )
 from marlsched.rng import derive_stream
@@ -36,12 +38,18 @@ def small_hyper(**kw):
     return Hyperparams(hidden=4, **kw)
 
 
-def zero_agent(h, obs_dim, n_actions):
+def zero_agents(h, obs_dim, n_actions, n=1):
+    """A population of n agents whose every parameter is zero."""
     return AgentParams(
-        W1=np.zeros((h.hidden, obs_dim)), b1=np.zeros(h.hidden),
-        W2=np.zeros((n_actions, h.hidden)), b2=np.zeros(n_actions),
-        Wv=np.zeros(h.hidden), bv=0.0, current_lr=h.learning_rate,
+        W1=np.zeros((n, h.hidden, obs_dim)), b1=np.zeros((n, h.hidden)),
+        W2=np.zeros((n, n_actions, h.hidden)), b2=np.zeros((n, n_actions)),
+        Wv=np.zeros((n, h.hidden)), bv=np.zeros(n), current_lr=np.full(n, h.learning_rate),
     )
+
+
+def member(agents, i):
+    """Agent i of a population, copied out as a population of one."""
+    return AgentParams(*(getattr(agents, f.name)[i : i + 1].copy() for f in fields(AgentParams)))
 
 
 def node(nid, cpu=4.0, mem=64.0):
@@ -57,48 +65,48 @@ def task(tid, duration=10.0, cpu=1.0, mem=1.0, arrival=0.0, priority=1):
 class TestNetwork:
     def test_parameter_count(self):
         assert expected_param_count(50, 128, 100) == 19_557
-        agent = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
+        agent = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
         assert agent.n_params == 19_557
 
     def test_init_biases_zero_weights_bounded(self):
-        agent = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
-        assert np.all(agent.b1 == 0.0) and np.all(agent.b2 == 0.0) and agent.bv == 0.0
+        agent = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
+        assert np.all(agent.b1 == 0.0) and np.all(agent.b2 == 0.0) and np.all(agent.bv == 0.0)
         assert np.all(np.abs(agent.W1) <= np.sqrt(2.0 / OBS_DIM))
         assert np.all(np.abs(agent.W2) <= np.sqrt(2.0 / H.hidden))
 
     def test_init_deterministic(self):
-        a = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
-        b = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
+        a = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
+        b = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
 
     def test_init_draws_w1_w2_wv_in_stream_order(self):
-        """init_agent's weights are the stream's draws in the order W1, W2, Wv,
-        each scaled as (2u - 1) * sqrt(2 / fan_in)."""
+        """init_agents draws an agent's weights from its stream in the order W1,
+        W2, Wv, each scaled as (2u - 1) * sqrt(2 / fan_in)."""
         h = small_hyper()
-        agent = init_agent(derive_stream(0, "a"), h, 6, 3)
+        agent = init_agents([derive_stream(0, "a")], h, 6, 3)
         u = derive_stream(0, "a").uniform_array(4 * 6 + 3 * 4 + 4)
-        assert np.array_equal(agent.W1, (2.0 * u[:24].reshape(4, 6) - 1.0) * np.sqrt(2.0 / 6))
-        assert np.array_equal(agent.W2, (2.0 * u[24:36].reshape(3, 4) - 1.0) * np.sqrt(2.0 / 4))
-        assert np.array_equal(agent.Wv, (2.0 * u[36:] - 1.0) * np.sqrt(2.0 / 4))
-        assert agent.bv == 0.0 and agent.current_lr == h.learning_rate
+        assert np.array_equal(agent.W1[0], (2.0 * u[:24].reshape(4, 6) - 1.0) * np.sqrt(2.0 / 6))
+        assert np.array_equal(agent.W2[0], (2.0 * u[24:36].reshape(3, 4) - 1.0) * np.sqrt(2.0 / 4))
+        assert np.array_equal(agent.Wv[0], (2.0 * u[36:] - 1.0) * np.sqrt(2.0 / 4))
+        assert agent.bv.tolist() == [0.0] and agent.current_lr.tolist() == [h.learning_rate]
 
     def test_zero_params_uniform_policy(self):
-        policy, value, _ = forward(zero_agent(H, OBS_DIM, 100), np.zeros(50))
+        policy, value, _ = forward(zero_agents(H, OBS_DIM, 100), np.zeros((1, 50)))
         assert np.allclose(policy, 0.01)
-        assert value == 0.0
+        assert value.tolist() == [0.0]
 
     def test_softmax_normalization(self):
-        agent = init_agent(derive_stream(42, "agent-init-0"), H, OBS_DIM, 100)
+        agent = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
         rng = np.random.default_rng(0)
         for _ in range(1000):
-            policy, _, _ = forward(agent, rng.random(50))
+            policy, _, _ = forward(agent, rng.random((1, 50)))
             assert abs(policy.sum() - 1.0) <= 1e-9
             assert np.all(policy >= 0.0)
 
     def test_softmax_shift_invariance(self):
         h = small_hyper()
-        agent = init_agent(derive_stream(0, "a"), h, 6, 3)
-        obs = np.linspace(0, 1, 6)
+        agent = init_agents([derive_stream(0, "a")], h, 6, 3)
+        obs = np.linspace(0, 1, 6)[None]
         p1, _, _ = forward(agent, obs)
         agent.b2 = agent.b2 + 5.0     # constant shift of every logit
         p2, _, _ = forward(agent, obs)
@@ -106,37 +114,37 @@ class TestNetwork:
 
     def test_wrong_observation_length(self):
         with pytest.raises(ValueError):
-            forward(zero_agent(H, OBS_DIM, 100), np.zeros(49))
+            forward(zero_agents(H, OBS_DIM, 100), np.zeros((1, 49)))
 
     def test_population_forward_equals_per_agent(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
-            agents = [init_agent(derive_stream(trial, f"agent-init-{i}"), H, OBS_DIM, 7)
-                      for i in range(7)]
-            for a in agents:
-                a.b1 = rng.normal(size=H.hidden) * 0.1
-                a.b2 = rng.normal(size=7)
-                a.bv = float(rng.normal())
+            agents = init_agents([derive_stream(trial, f"agent-init-{i}") for i in range(7)],
+                                 H, OBS_DIM, 7)
+            for i in range(7):
+                agents.b1[i] = rng.normal(size=H.hidden) * 0.1
+                agents.b2[i] = rng.normal(size=7)
+                agents.bv[i] = float(rng.normal())
             obs = rng.random((7, OBS_DIM))
-            policy, value, hidden = forward(stack_agents(agents), obs)
+            policy, value, hidden = forward(agents, obs)
             assert policy.shape == (7, 7) and value.shape == (7,) and hidden.shape == (7, H.hidden)
-            for i, a in enumerate(agents):
-                p_i, v_i, h_i = forward(a, obs[i])
-                assert np.array_equal(policy[i], p_i)
-                assert value[i] == v_i
-                assert np.array_equal(hidden[i], h_i)
+            for i in range(7):
+                p_i, v_i, h_i = forward(member(agents, i), obs[i : i + 1])
+                assert np.array_equal(policy[i], p_i[0])
+                assert value[i] == v_i[0]
+                assert np.array_equal(hidden[i], h_i[0])
                 # the plain matrix-vector products, bit for bit
-                assert np.array_equal(h_i, np.maximum(a.W1 @ obs[i] + a.b1, 0.0))
-                assert v_i == a.Wv @ h_i + a.bv
+                assert np.array_equal(hidden[i], np.maximum(agents.W1[i] @ obs[i] + agents.b1[i], 0.0))
+                assert value[i] == agents.Wv[i] @ hidden[i] + agents.bv[i]
 
     def test_population_wrong_observation_shape(self):
-        agents = stack_agents([zero_agent(H, OBS_DIM, 100) for _ in range(3)])
+        agents = zero_agents(H, OBS_DIM, 100, n=3)
         for shape in [(3, 49), (2, 50), (50,), (1, 3, 50)]:
             with pytest.raises(ValueError):
                 forward(agents, np.zeros(shape))
 
     def test_population_non_finite_output(self):
-        agents = stack_agents([zero_agent(H, OBS_DIM, 100) for _ in range(3)])
+        agents = zero_agents(H, OBS_DIM, 100, n=3)
         agents.bv[2] = np.inf
         with pytest.raises(FloatingPointError):
             forward(agents, np.zeros((3, 50)))
@@ -144,16 +152,6 @@ class TestNetwork:
         agents.b2[1, 5] = np.nan
         with pytest.raises(FloatingPointError):
             forward(agents, np.zeros((3, 50)))
-
-    def test_agent_views_update_population(self):
-        agents = stack_agents([zero_agent(H, OBS_DIM, 100) for _ in range(3)])
-        view = agents.agent(1)
-        view.W1 += 1.0
-        view.bv -= 2.0
-        view.current_lr *= 0.5
-        assert np.all(agents.W1[1] == 1.0) and np.all(agents.W1[[0, 2]] == 0.0)
-        assert agents.bv.tolist() == [0.0, -2.0, 0.0]
-        assert agents.current_lr.tolist() == [H.learning_rate, H.learning_rate / 2, H.learning_rate]
 
 
 class TestScores:
@@ -276,28 +274,27 @@ class TestTdError:
     def test_simple_substitution(self):
         h = small_hyper()
         tr = rows((np.zeros(6), 0, 1.0, np.zeros(6), False))
-        assert td_error(stack_agents([zero_agent(h, 6, 3)]), [0], tr, 0.99) == pytest.approx(1.0)
+        assert td_error(zero_agents(h, 6, 3), [0], tr, 0.99) == pytest.approx(1.0)
 
     def test_terminal_no_bootstrap(self):
         h = small_hyper()
-        agent = zero_agent(h, 6, 3)
-        agent.bv = 0.5
+        agent = zero_agents(h, 6, 3)
+        agent.bv[0] = 0.5
         tr = rows((np.zeros(6), 0, 2.0, np.ones(6), True))
-        assert td_error(stack_agents([agent]), [0], tr, 0.99) == pytest.approx(1.5)
+        assert td_error(agent, [0], tr, 0.99) == pytest.approx(1.5)
 
     def test_bootstrap_term(self):
         h = small_hyper()
-        agent = zero_agent(h, 6, 3)
-        agent.bv = 0.5
+        agent = zero_agents(h, 6, 3)
+        agent.bv[0] = 0.5
         tr = rows((np.zeros(6), 0, 1.0, np.ones(6), False))
-        assert td_error(stack_agents([agent]), [0], tr, 0.99) == pytest.approx(1.0 + 0.99 * 0.5 - 0.5)
+        assert td_error(agent, [0], tr, 0.99) == pytest.approx(1.0 + 0.99 * 0.5 - 0.5)
 
     def test_batched_rows_equal_per_row_forward(self):
         """One call over rows of several agents (ids repeated, some rows
         terminal) gives the bits of the per-row ``forward`` definition."""
         rng = np.random.default_rng(11)
-        agents = stack_agents([init_agent(derive_stream(7, f"td-{i}"), H, OBS_DIM, 4)
-                               for i in range(4)])
+        agents = init_agents([derive_stream(7, f"td-{i}") for i in range(4)], H, OBS_DIM, 4)
         agents.b1[:] = rng.normal(size=agents.b1.shape) * 0.1
         agents.bv[:] = rng.normal(size=4)
         ids = np.array([2, 0, 2, 3, 1, 2, 0, 3, 3])
@@ -309,15 +306,15 @@ class TestTdError:
         deltas = td_error(agents, ids, batch, 0.99)
         expected = []
         for k, i in enumerate(ids):
-            v = forward(agents.agent(i), batch.obs[k])[1]
+            v = forward(member(agents, i), batch.obs[k : k + 1])[1][0]
             if terminal[k]:
                 expected.append(batch.reward[k] - v)
             else:
-                expected.append(batch.reward[k] + 0.99 * forward(agents.agent(i), nxt[k])[1] - v)
+                expected.append(batch.reward[k] + 0.99 * forward(member(agents, i), nxt[k : k + 1])[1][0] - v)
         assert np.array_equal(deltas, expected)
 
     def test_non_finite_value_raises(self):
-        agents = stack_agents([zero_agent(small_hyper(), 6, 3) for _ in range(2)])
+        agents = zero_agents(small_hyper(), 6, 3, n=2)
         agents.bv[1] = np.nan
         with pytest.raises(FloatingPointError):
             td_error(agents, [0, 1], rows(*[(np.zeros(6), 0, 1.0, np.zeros(6), False)] * 2), 0.99)
@@ -411,48 +408,50 @@ class TestReplayBuffer:
 
 def surrogate_loss(params, batch, deltas, targets):
     """The objective whose gradient the update step follows, with the
-    advantage and critic target frozen."""
+    advantage and critic target frozen; ``params`` is a population of one."""
     total = 0.0
     for obs, action, d, tgt in zip(batch.obs, batch.action, deltas, targets):
-        policy, v, _ = forward(params, obs)
-        total += -d * np.log(policy[action]) + 0.5 * (v - tgt) ** 2
+        policy, v, _ = forward(params, obs[None])
+        total += -d * np.log(policy[0, action]) + 0.5 * (v[0] - tgt) ** 2
     return total / len(batch.action)
 
 
 def td_targets(params, batch):
     """r, or r + 0.99 * V(o') on a non-terminal row, by per-row ``forward``."""
-    return [r if not alive else r + 0.99 * forward(params, nxt)[1]
+    return [r if not alive else r + 0.99 * forward(params, nxt[None])[1][0]
             for r, nxt, alive in zip(batch.reward, batch.next_obs, batch.alive)]
 
 
 def copy_params(p):
-    return AgentParams(p.W1.copy(), p.b1.copy(), p.W2.copy(), p.b2.copy(),
-                       p.Wv.copy(), p.bv, p.current_lr)
+    return copy.deepcopy(p)
+
+
+PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wv", "bv")
 
 
 class TestApplyUpdate:
     def test_zero_delta_leaves_params_lr_decays(self):
         h = small_hyper()
-        agent = zero_agent(h, 6, 3)
+        agent = zero_agents(h, 6, 3)
         before = copy_params(agent)
         batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
-        apply_update(agent, batch, gamma=0.99)
+        apply_update(agent, 0, batch, gamma=0.99)
         assert np.array_equal(agent.W1, before.W1) and np.array_equal(agent.W2, before.W2)
-        assert np.array_equal(agent.Wv, before.Wv) and agent.bv == before.bv
-        assert agent.current_lr == pytest.approx(before.current_lr * 0.9995)
+        assert np.array_equal(agent.Wv, before.Wv) and np.array_equal(agent.bv, before.bv)
+        assert agent.current_lr[0] == pytest.approx(before.current_lr[0] * 0.9995)
 
     def test_learning_rate_decays_by_lr_decay(self):
-        agent = zero_agent(small_hyper(), 6, 3)
+        agent = zero_agents(small_hyper(), 6, 3)
         batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
-        apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
-        apply_update(agent, batch, gamma=0.99, lr_decay=0.9)
-        assert agent.current_lr == pytest.approx(0.001 * 0.81)
+        apply_update(agent, 0, batch, gamma=0.99, lr_decay=0.9)
+        apply_update(agent, 0, batch, gamma=0.99, lr_decay=0.9)
+        assert agent.current_lr[0] == pytest.approx(0.001 * 0.81)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             empty = Experience(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0, dtype=int),
                                np.zeros(0), np.zeros(0))
-            apply_update(zero_agent(small_hyper(), 6, 3), empty, gamma=0.99)
+            apply_update(zero_agents(small_hyper(), 6, 3), 0, empty, gamma=0.99)
 
     def test_gradient_matches_finite_differences(self):
         """Analytic backprop vs central differences on 100 random small nets."""
@@ -460,23 +459,21 @@ class TestApplyUpdate:
         rng = np.random.default_rng(12345)
         step = 1e-5
         for trial in range(100):
-            agent = init_agent(derive_stream(trial, "fd-agent"), h, 6, 3)
+            agent = init_agents([derive_stream(trial, "fd-agent")], h, 6, 3)
             batch = random_batch(rng)
-            deltas = td_error(stack_agents([agent]), np.zeros(4, dtype=int), batch, 0.99)
+            deltas = td_error(agent, np.zeros(4, dtype=int), batch, 0.99)
             targets = td_targets(agent, batch)
 
             before = copy_params(agent)
-            lr = agent.current_lr
-            apply_update(agent, batch, gamma=0.99, grad_clip_norm=None)
+            lr = agent.current_lr[0]
+            apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None)
             analytic = np.concatenate([
-                ((getattr(before, n) - getattr(agent, n)) / lr).ravel()
-                for n in ("W1", "b1", "W2", "b2", "Wv")
-            ] + [np.array([(before.bv - agent.bv) / lr])])
+                ((getattr(before, n) - getattr(agent, n)) / lr).ravel() for n in PARAM_NAMES
+            ])
 
             fd = []
-            for name in ("W1", "b1", "W2", "b2", "Wv"):
-                arr = getattr(before, name)
-                flat = arr.ravel()
+            for name in PARAM_NAMES:
+                flat = getattr(before, name).ravel()   # a view: every array is contiguous
                 for j in range(flat.size):
                     orig = flat[j]
                     flat[j] = orig + step
@@ -485,12 +482,6 @@ class TestApplyUpdate:
                     down = surrogate_loss(before, batch, deltas, targets)
                     flat[j] = orig
                     fd.append((up - down) / (2 * step))
-            before.bv += step
-            up = surrogate_loss(before, batch, deltas, targets)
-            before.bv -= 2 * step
-            down = surrogate_loss(before, batch, deltas, targets)
-            before.bv += step
-            fd.append((up - down) / (2 * step))
             fd = np.asarray(fd)
 
             rel = np.linalg.norm(analytic - fd) / (np.linalg.norm(fd) + 1e-12)
@@ -498,16 +489,35 @@ class TestApplyUpdate:
 
     def test_gradient_clipping_bounds_step(self):
         h = small_hyper()
-        agent = init_agent(derive_stream(0, "clip"), h, 6, 3)
+        agent = init_agents([derive_stream(0, "clip")], h, 6, 3)
         batch = rows(*[(np.ones(6), 0, 1000.0, np.ones(6), True)] * 4)
         before = copy_params(agent)
-        lr = agent.current_lr
-        apply_update(agent, batch, gamma=0.99, grad_clip_norm=1.0)
-        norm = np.sqrt(sum(
-            np.sum(((getattr(before, n) - getattr(agent, n)) / lr) ** 2)
-            for n in ("W1", "b1", "W2", "b2", "Wv")
-        ) + ((before.bv - agent.bv) / lr) ** 2)
+        lr = agent.current_lr[0]
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=1.0)
+        norm = np.sqrt(sum(np.sum(((getattr(before, n) - getattr(agent, n)) / lr) ** 2)
+                           for n in PARAM_NAMES))
         assert norm <= 1.0 + 1e-9
+
+    def test_updates_only_agent_i(self):
+        """``apply_update(agents, i, ...)`` moves agent i's rows exactly as it moves
+        a population of one holding that agent, and leaves every other row's bits."""
+        h = small_hyper()
+        rng = np.random.default_rng(5)
+        agents = init_agents([derive_stream(0, f"only-{i}") for i in range(4)], h, 6, 3)
+        agents.b1[:] = rng.normal(size=agents.b1.shape) * 0.1
+        agents.bv[:] = rng.normal(size=4)
+        batch = random_batch(rng)
+        for i in range(4):
+            before = copy_params(agents)
+            alone = member(agents, i)
+            apply_update(agents, i, batch, gamma=0.99, grad_clip_norm=10.0)
+            apply_update(alone, 0, batch, gamma=0.99, grad_clip_norm=10.0)
+            others = [k for k in range(4) if k != i]
+            for f in fields(AgentParams):
+                got, was = getattr(agents, f.name), getattr(before, f.name)
+                assert np.array_equal(got[others], was[others]), f.name
+                assert np.array_equal(got[i], getattr(alone, f.name)[0]), f.name
+                assert not np.array_equal(got[i], was[i]), f.name
 
 
 class TestExplorationDecay:
@@ -529,7 +539,7 @@ class TestExplorationDecay:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         h = small_hyper()
-        agents = stack_agents([init_agent(derive_stream(s, "ckpt"), h, 6, 3) for s in range(3)])
+        agents = init_agents([derive_stream(s, "ckpt") for s in range(3)], h, 6, 3)
         agents.current_lr[1] = 0.0005
         path = tmp_path / "ckpt.npz"
         save_checkpoint(path, agents, episode=7)
@@ -552,10 +562,10 @@ class TestDrlScheduler:
     def test_agents_keep_their_init_streams(self):
         sched = DrlScheduler(42, n_nodes=3)
         for i in range(3):
-            alone = init_agent(derive_stream(42, f"agent-init-{i}"), sched.h, OBS_DIM, 3)
-            assert np.array_equal(sched.agents.W1[i], alone.W1)
-            assert np.array_equal(sched.agents.W2[i], alone.W2)
-            assert np.array_equal(sched.agents.Wv[i], alone.Wv)
+            alone = init_agents([derive_stream(42, f"agent-init-{i}")], sched.h, OBS_DIM, 3)
+            assert np.array_equal(sched.agents.W1[i], alone.W1[0])
+            assert np.array_equal(sched.agents.W2[i], alone.W2[0])
+            assert np.array_equal(sched.agents.Wv[i], alone.Wv[0])
 
     def test_hyperparameter_lr_decay_takes_effect(self):
         from marlsched.experiment import ExperimentConfig, run_episode
@@ -638,12 +648,13 @@ def reference_select(state, pending, self_probs, s, h, explore_epsilon):
                 + h.w_compat * compat)
 
     order = sorted(pending, key=lambda t: (-priority_score(t, state.time, h), t.id))
-    util = {n.spec.id: state.cpu_in_use[n.spec.id] / n.spec.cpu_capacity for n in state.nodes}
-    mem_frac = {n.spec.id: state.mem_in_use[n.spec.id] / n.spec.mem_capacity for n in state.nodes}
+    cpu_cap, mem_cap = state.specs.cpu_capacity.tolist(), state.specs.mem_capacity.tolist()
+    util = {nid: state.cpu_in_use[nid] / cpu_cap[nid] for nid in range(state.n_nodes)}
+    mem_frac = {nid: state.mem_in_use[nid] / mem_cap[nid] for nid in range(state.n_nodes)}
     decisions = []
     for task in order:
-        feas = [n.spec.id for n in state.nodes
-                if task.cpu <= n.spec.cpu_capacity and task.mem <= n.spec.mem_capacity]
+        feas = [nid for nid in range(state.n_nodes)
+                if task.cpu <= cpu_cap[nid] and task.mem <= mem_cap[nid]]
         if not feas:
             decisions.append((task.id, None))
             continue
@@ -653,13 +664,11 @@ def reference_select(state, pending, self_probs, s, h, explore_epsilon):
         else:
             chosen, best = None, None
             for nid in feas:
-                sc = score(self_probs[nid], util[nid], mem_frac[nid], task,
-                           state.nodes[nid].spec.cpu_capacity)
+                sc = score(self_probs[nid], util[nid], mem_frac[nid], task, cpu_cap[nid])
                 if best is None or sc > best:
                     chosen, best = nid, sc
-        spec = state.nodes[chosen].spec
-        util[chosen] += task.cpu / spec.cpu_capacity
-        mem_frac[chosen] += task.mem / spec.mem_capacity
+        util[chosen] += task.cpu / cpu_cap[chosen]
+        mem_frac[chosen] += task.mem / mem_cap[chosen]
         decisions.append((task.id, chosen))
     return decisions
 
@@ -676,9 +685,9 @@ class TestSelectionOracle:
         nodes = [node(i, cpu=float(rng.choice([2, 4, 8])), mem=float(rng.choice([4, 16])))
                  for i in range(n_nodes)]
         state = init_episode(SimConfig(), [], nodes)
-        for i, nd in enumerate(state.nodes):
-            state.cpu_in_use[i] = float(rng.choice([0.0, 0.5, 1.0])) * nd.spec.cpu_capacity
-            state.mem_in_use[i] = float(rng.choice([0.0, 0.25])) * nd.spec.mem_capacity
+        for i, nd in enumerate(nodes):
+            state.cpu_in_use[i] = float(rng.choice([0.0, 0.5, 1.0])) * nd.cpu_capacity
+            state.mem_in_use[i] = float(rng.choice([0.0, 0.25])) * nd.mem_capacity
         probs = rng.choice([0.0, 0.125, 0.5], size=n_nodes)
         pending = [
             # up to 12 cores or 20 GB: some tasks are feasible nowhere

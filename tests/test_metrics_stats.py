@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from marlsched.cluster import NodeSpec
+from marlsched.cluster import NodeSpec, generate_cluster
 from marlsched.metrics import (
     aggregate_final,
     max_energy_kwh,
     objective_j,
     summarize_episode,
 )
+from marlsched.rng import derive_stream
 from marlsched.simenv import SimConfig, advance, enqueue_assignment, init_episode
 from marlsched.stats import bonferroni, confidence_interval_95, welch_t_test
 from marlsched.workload import Task
@@ -48,6 +49,12 @@ class TestEpisodeMetrics:
         state = init_episode(SimConfig(), [], [node(0), node(1)])
         # two nodes at full power (300 W each) for the given horizon
         assert max_energy_kwh(state, 1000.0) == pytest.approx(600.0 * 1000.0 / 3.6e6)
+
+    def test_max_energy_sums_specs_in_node_order(self):
+        """The spec arrays give the per-node sum's bits (numpy's pairwise sum need not)."""
+        nodes = generate_cluster(derive_stream(42, "cl"), 100)
+        state = init_episode(SimConfig(), [], nodes)
+        assert max_energy_kwh(state, 1000.0) == sum(n.p_idle + n.p_dyn for n in nodes) * 1000.0 / 3.6e6
 
 
 class TestObjective:

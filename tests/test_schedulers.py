@@ -85,6 +85,73 @@ class TestWeightedRoundRobin:
             assert shares[n.id] == pytest.approx(n.cpu_capacity / total_cpu, abs=0.01)
 
 
+def wrr_oracle(nodes, credits, pending):
+    """The per-node credit loop wrr ran before its credits were an array:
+    (task, node) pairs, updating the list ``credits`` in place."""
+    decisions = []
+    for t in pending:
+        feas = [n.id for n in nodes if t.cpu <= n.cpu_capacity and t.mem <= n.mem_capacity]
+        if not feas:
+            decisions.append((t.id, None))
+            continue
+        total = 0.0
+        for nid in feas:
+            w = nodes[nid].cpu_capacity
+            credits[nid] += w
+            total += w
+        chosen = max(feas, key=lambda nid: (credits[nid], -nid))
+        credits[chosen] -= total
+        decisions.append((t.id, chosen))
+    return decisions
+
+
+class TestWeightedRoundRobinOracle:
+    """The array credits equal the per-node loop, decision for decision and
+    credit for credit, across consecutive calls."""
+
+    @staticmethod
+    def check(nodes, batches):
+        state = init_episode(SimConfig(), [], nodes)
+        sched = WeightedRoundRobinScheduler()
+        sched.reset(state)
+        credits, decisions = [0.0] * len(nodes), []
+        for pending in batches:
+            got = [(d.task_id, d.node_id) for d in sched.assign(state, pending)]
+            assert got == wrr_oracle(nodes, credits, pending)
+            assert sched._credits.tolist() == credits
+            decisions += got
+        return decisions
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_random_states(self, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct, mostly non-integer capacities: equal-capacity ties are
+        # common and the credit sums round
+        nodes = [node(i, cpu=float(rng.choice([0.3, 1.1, 2.7, 2.7, 4.0, 6.35])),
+                      mem=float(rng.choice([4.0, 16.0])))
+                 for i in range(int(rng.integers(1, 30)))]
+        batches = [[task(int(k), cpu=float(rng.choice([0.2, 1.0, 2.5, 5.0, 9.0])),
+                         mem=float(rng.choice([1.0, 8.0, 32.0])))   # 9 cores or 32 GB: fits nowhere
+                    for k in rng.permutation(int(rng.integers(0, 30)))]
+                   for _ in range(int(rng.integers(1, 6)))]
+        self.check(nodes, batches)
+
+    def test_equal_capacity_ties_to_lowest_id(self):
+        """Equal weights: each decision is a credit tie broken to the lowest id,
+        so the nodes take turns in id order."""
+        decisions = self.check([node(i) for i in range(4)], [[task(i) for i in range(8)]])
+        assert [nid for _, nid in decisions] == [0, 1, 2, 3, 0, 1, 2, 3]
+
+    def test_loaded_cluster_matches_oracle(self):
+        """100 nodes: enough feasible terms that a pairwise (numpy) sum of the
+        payback would differ from the node-order sum."""
+        nodes = generate_cluster(derive_stream(7, "cl"), 100)
+        rng = np.random.default_rng(7)
+        batches = [[task(50 * b + k, cpu=float(rng.lognormal(0.5, 0.8)), mem=float(rng.lognormal(2.0, 1.0)))
+                    for k in range(50)] for b in range(40)]
+        self.check(nodes, batches)
+
+
 class TestPriorityMinMin:
     def test_tie_breaks_to_lower_id(self):
         state = init_episode(SimConfig(), [], [node(0, cpu=4.0), node(1, cpu=8.0)])
@@ -126,18 +193,18 @@ class TestPriorityMinMin:
 def minmin_oracle(state, pending):
     """The per-node scan min-min ran before it was array-shaped: (task, node) pairs."""
     order = sorted(pending, key=lambda t: (t.priority, t.arrival, t.id))
-    cpu_used = {n.spec.id: state.cpu_in_use[n.spec.id] for n in state.nodes}
-    mem_used = {n.spec.id: state.mem_in_use[n.spec.id] for n in state.nodes}
+    cpu_cap, mem_cap = state.specs.cpu_capacity.tolist(), state.specs.mem_capacity.tolist()
+    cpu_used = {nid: state.cpu_in_use[nid] for nid in range(state.n_nodes)}
+    mem_used = {nid: state.mem_in_use[nid] for nid in range(state.n_nodes)}
     decisions = []
     for t in order:
         best, best_util = None, None
-        for nd in state.nodes:
-            nid = nd.spec.id
+        for nid in range(state.n_nodes):
             if (
-                cpu_used[nid] + t.cpu <= nd.spec.cpu_capacity
-                and mem_used[nid] + t.mem <= nd.spec.mem_capacity
+                cpu_used[nid] + t.cpu <= cpu_cap[nid]
+                and mem_used[nid] + t.mem <= mem_cap[nid]
             ):
-                util = cpu_used[nid] / nd.spec.cpu_capacity
+                util = cpu_used[nid] / cpu_cap[nid]
                 if best is None or util < best_util:
                     best, best_util = nid, util
         if best is not None:
@@ -157,10 +224,10 @@ class TestPriorityMinMinOracle:
         nodes = [node(i, cpu=float(rng.choice([2, 4, 8])), mem=float(rng.choice([4, 8, 16])))
                  for i in range(n_nodes)]
         state = init_episode(SimConfig(), [], nodes)
-        for i, nd in enumerate(state.nodes):
+        for i, nd in enumerate(nodes):
             share = float(rng.choice([0.0, 0.25, 0.5, 1.0]))   # 1.0: saturated node
-            state.cpu_in_use[i] = share * nd.spec.cpu_capacity
-            state.mem_in_use[i] = float(rng.choice([0.0, 0.5])) * nd.spec.mem_capacity
+            state.cpu_in_use[i] = share * nd.cpu_capacity
+            state.mem_in_use[i] = float(rng.choice([0.0, 0.5])) * nd.mem_capacity
         pending = [
             # cpu up to 12 cores: some tasks fit no node at all
             task(i, cpu=float(rng.choice([0.25, 0.5, 1.0, 2.0, 3.0, 12.0])),
@@ -184,9 +251,9 @@ class TestPriorityMinMinOracle:
         nodes = generate_cluster(derive_stream(3, "cl"), 100)
         state = init_episode(SimConfig(), [], nodes)
         rng = np.random.default_rng(3)
-        for i, nd in enumerate(state.nodes):
-            state.cpu_in_use[i] = float(rng.uniform(0.0, 1.0)) * nd.spec.cpu_capacity
-            state.mem_in_use[i] = float(rng.uniform(0.0, 1.0)) * nd.spec.mem_capacity
+        for i, nd in enumerate(nodes):
+            state.cpu_in_use[i] = float(rng.uniform(0.0, 1.0)) * nd.cpu_capacity
+            state.mem_in_use[i] = float(rng.uniform(0.0, 1.0)) * nd.mem_capacity
         pending = [task(i, cpu=float(rng.lognormal(0.5, 0.8)), mem=float(rng.lognormal(2.0, 1.0)),
                         arrival=float(i // 7), priority=int(rng.integers(0, 3)))
                    for i in range(600)]

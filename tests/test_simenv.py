@@ -1,5 +1,7 @@
 """Engine oracles: admission, completion traces, drops, energy and observations."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from marlsched.simenv import (
     QUEUE_WINDOW,
     TASK_FEATURES,
     CompletionRecord,
-    RunningTask,
     SimConfig,
     StepReport,
     advance,
@@ -42,6 +43,11 @@ def node(nid, cpu=4.0, mem=64.0, p_idle=100.0, p_dyn=200.0, tier="Medium"):
 def task(tid, duration, cpu=1.0, mem=1.0, arrival=0.0, priority=1):
     return Task(id=tid, duration=duration, cpu=cpu, mem=mem, arrival=arrival,
                 priority=priority, deadline=deadline_for(arrival, duration, priority))
+
+
+def node_spec(state, i):
+    """Node i's spec with scalar fields, read back from the state's population."""
+    return NodeSpec(*(getattr(state.specs, f.name).item(i) for f in fields(NodeSpec)))
 
 
 def advance_energy(state):
@@ -92,8 +98,7 @@ class TestAssignment:
         enqueue_assignment(state, 0, 0)
         nd = state.nodes[0]
         assert not nd.queue and len(nd.running) == 1
-        rt = nd.running[0]
-        assert rt.start_time == 0.0 and rt.finish_time == 10.0
+        assert nd.running == [(10.0, 0)]   # (finish_time, task_id): started at 0
         assert state.cpu_in_use[0] == 2.0
 
     def test_busy_node_queues(self):
@@ -149,8 +154,7 @@ class TestAdvance:
         assert r1.energy_joules == 1250.0
         r2, e2 = advance_energy(state)     # t0 completes at 10; t1 admitted at 10 (U=3)
         assert [c.task_id for c in r2.completions] == [0]
-        assert state.nodes[0].running[0].start_time == 10.0
-        assert state.nodes[0].running[0].finish_time == 17.0
+        assert state.nodes[0].running == [(17.0, 1)]   # admitted at 10, runs 7 s
         assert e2[0] == 1250.0
         _, e3 = advance_energy(state)      # [10,15]: t1 running
         assert e3[0] == 1250.0
@@ -330,7 +334,7 @@ def reference_observation(state, node_id):
     """Node ``node_id``'s observation, built feature by feature for that node alone."""
     node = state.nodes[node_id]
     obs = np.zeros(OBS_DIM)
-    spec = node.spec
+    spec = node_spec(state, node_id)
     obs[0] = state.cpu_in_use[node_id] / spec.cpu_capacity
     obs[1] = state.mem_in_use[node_id] / spec.mem_capacity
     obs[2] = min(len(node.queue), 50) / 50.0
@@ -346,7 +350,7 @@ def reference_observation(state, node_id):
         neighbor_ids.append((node_id + off) % n)
     neighbor_ids = [i for i in dict.fromkeys(neighbor_ids) if i != node_id]
     if neighbor_ids:
-        nb = np.array([state.cpu_in_use[i] / state.nodes[i].spec.cpu_capacity for i in neighbor_ids])
+        nb = np.array([state.cpu_in_use[i] / node_spec(state, i).cpu_capacity for i in neighbor_ids])
         obs[7] = nb.mean()
         obs[8] = nb.min()
         obs[9] = nb.max()
@@ -388,19 +392,20 @@ def test_batched_observation_rows_match_reference(n):
 
 # The completion, admission and energy passes as the engine ran them before its
 # running lists were kept in completion order and its energy was one array call:
-# admission appends, each step sorts a node's finished tasks and removes them one
-# by one, and each node's energy is its own scalar step_energy call.
+# admission appends a (finish_time, task_id) pair, each step sorts a node's
+# finished tasks and removes them one by one, and each node's energy is its own
+# scalar step_energy call.
 
 def reference_admit(state, i, now):
-    node = state.nodes[i]
+    node, spec = state.nodes[i], node_spec(state, i)
     while node.queue:
         task = state.tasks[node.queue[0]]
         if (
-            state.cpu_in_use[i] + task.cpu <= node.spec.cpu_capacity
-            and state.mem_in_use[i] + task.mem <= node.spec.mem_capacity
+            state.cpu_in_use[i] + task.cpu <= spec.cpu_capacity
+            and state.mem_in_use[i] + task.mem <= spec.mem_capacity
         ):
             node.queue.pop(0)
-            node.running.append(RunningTask(task.id, node.spec.id, now, now + task.duration))
+            node.running.append((now + task.duration, task.id))
             state.cpu_in_use[i] += task.cpu
             state.mem_in_use[i] += task.mem
         else:
@@ -417,18 +422,18 @@ def reference_advance(state, dt):
     new_time = state.time + dt
     completions = []
     for i, node in enumerate(state.nodes):
-        done = sorted((rt for rt in node.running if rt.finish_time <= new_time),
-                      key=lambda rt: (rt.finish_time, rt.task_id))
+        done = sorted(rt for rt in node.running if rt[0] <= new_time)
         for rt in done:
             node.running.remove(rt)
-            task = state.tasks[rt.task_id]
+            finish_time, task_id = rt
+            task = state.tasks[task_id]
             state.cpu_in_use[i] -= task.cpu
             state.mem_in_use[i] -= task.mem
             completions.append(CompletionRecord(
-                task_id=task.id, arrival=task.arrival, finish_time=rt.finish_time,
-                completion_time=rt.finish_time - task.arrival,
-                met_sla=rt.finish_time <= task.deadline, priority=task.priority,
-                node_id=node.spec.id,
+                task_id=task.id, arrival=task.arrival, finish_time=finish_time,
+                completion_time=finish_time - task.arrival,
+                met_sla=finish_time <= task.deadline, priority=task.priority,
+                node_id=i,
             ))
         if not node.running:
             state.cpu_in_use[i] = 0.0
@@ -448,10 +453,11 @@ def reference_advance(state, dt):
     node_energy = []
     utils = np.empty(state.n_nodes)
     for i, node in enumerate(state.nodes):
-        e = step_energy(node.spec, float(state.cpu_in_use[i]), dt)
+        spec = node_spec(state, i)
+        e = step_energy(spec, float(state.cpu_in_use[i]), dt)
         node.energy_joules += e
         node_energy.append(e)
-        utils[i] = state.cpu_in_use[i] / node.spec.cpu_capacity
+        utils[i] = state.cpu_in_use[i] / spec.cpu_capacity
     util_variance = float(np.var(utils))
     state.util_variance_sum += util_variance
     state.steps += 1
@@ -501,9 +507,8 @@ class TestAdvanceOracle:
             assert [n.energy_joules for n in state.nodes] == [n.energy_joules for n in ref.nodes]
             for got, exp in zip(state.nodes, ref.nodes):
                 assert got.queue == exp.queue
-                assert sorted(got.running, key=lambda rt: rt.task_id) == \
-                    sorted(exp.running, key=lambda rt: rt.task_id)
-                assert got.running == sorted(got.running, key=lambda rt: (rt.finish_time, rt.task_id))
+                assert sorted(got.running, key=lambda rt: rt[1]) == sorted(exp.running, key=lambda rt: rt[1])
+                assert got.running == sorted(got.running)
         assert state.dropped == ref.dropped and state.completions == ref.completions
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -535,10 +540,10 @@ class TestAdvanceOracle:
         enqueue_assignment(state, 3, 0)    # 0-10
         enqueue_assignment(state, 1, 0)    # 0-5
         enqueue_assignment(state, 0, 0)    # 0-10
-        assert [rt.task_id for rt in state.nodes[0].running] == [1, 0, 3]
+        assert [tid for _, tid in state.nodes[0].running] == [1, 0, 3]
         advance(state, 5.0)
         enqueue_assignment(state, 2, 0)    # 5-10
-        assert [rt.task_id for rt in state.nodes[0].running] == [0, 2, 3]
+        assert [tid for _, tid in state.nodes[0].running] == [0, 2, 3]
         report = advance(state, 5.0)
         assert [c.task_id for c in report.completions] == [0, 2, 3]
         assert state.cpu_in_use[0] == 0.0 and not state.nodes[0].running
