@@ -101,12 +101,12 @@ class ExperimentConfig:
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: an int fits float, a bool only
     bool, null only an annotation allowing None, a list a tuple of its element type;
-    NaN fits nothing."""
+    NaN and ±Infinity fit nothing."""
     if isinstance(hint, UnionType):
         return any(_fits(value, h) for h in get_args(hint))
     if get_origin(hint) is tuple:
         return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
-    if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, float) and not math.isfinite(value):
         return False
     types = (int, float) if hint is float else hint
     return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
@@ -242,9 +242,9 @@ def compare(config: ExperimentConfig) -> dict:
     return report
 
 
-def _final_values(results, metric, k):
-    vals = [getattr(r.metrics, metric) for r in results][-k:]
-    return [v for v in vals if v is not None]
+def _final_atct(results, k):
+    """ATCT per final-window episode, None where the episode completed no task."""
+    return [r.metrics.atct for r in results[-k:]]
 
 
 def build_comparison(config: ExperimentConfig, all_results: dict[str, list[EpisodeResult]]) -> dict:
@@ -253,7 +253,13 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
     for name, results in all_results.items():
         row = {"scheduler": name}
         for metric in METRIC_FIELDS:
-            mean, std = aggregate_final([getattr(r.metrics, metric) for r in results], k)
+            values = [getattr(r.metrics, metric) for r in results]
+            # ATCT is None in an episode that completed no task; a window of
+            # only such episodes has no mean
+            if any(v is not None for v in values[-k:]):
+                mean, std = aggregate_final(values, k)
+            else:
+                mean = std = None
             row[f"{metric}_mean"] = mean
             row[f"{metric}_std"] = std
         completed_mean, _ = aggregate_final([r.metrics.completed for r in results], k)
@@ -269,19 +275,27 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
     improvements = {}
     if "drl" in all_results:
         n_baselines = sum(1 for n in all_results if n != "drl")
-        drl_atct = _final_values(all_results["drl"], "atct", k)
+        drl_atct = _final_atct(all_results["drl"], k)
         for name, results in all_results.items():
             if name == "drl":
                 continue
-            base_atct = _final_values(results, "atct", k)
-            if min(len(drl_atct), len(base_atct)) < 2:
+            base_atct = _final_atct(results, k)
+            drl_usable, base_usable = ([v for v in side if v is not None]
+                                       for side in (drl_atct, base_atct))
+            empty = [who for who, usable in (("drl", drl_usable), (name, base_usable)) if not usable]
+            if empty:
+                skipped[name] = (f"no task completed in the final-window episodes of "
+                                 f"{' and '.join(empty)}, so there is no ATCT for "
+                                 f"the Welch test or the improvement CI")
+            elif min(len(drl_usable), len(base_usable)) < 2:
                 skipped[name] = (f"Welch needs 2 final-window ATCT values per side, "
-                                 f"got {len(drl_atct)} (drl) and {len(base_atct)} ({name})")
+                                 f"got {len(drl_usable)} (drl) and {len(base_usable)} ({name})")
             else:
-                t, p = welch_t_test(drl_atct, base_atct)
+                t, p = welch_t_test(drl_usable, base_usable)
                 tests[name] = {"t": t, "p": p, "p_bonferroni": bonferroni(p, n_baselines)}
-            # per-episode relative ATCT improvement of drl over the baseline
-            rel = [(b - d) / b for d, b in zip(drl_atct, base_atct) if b]
+            # per-episode relative ATCT improvement of drl over the baseline, over
+            # the episodes in which both completed a task
+            rel = [(b - d) / b for d, b in zip(drl_atct, base_atct) if d is not None and b]
             if len(rel) >= 2:
                 improvements[name] = {
                     "mean": sum(rel) / len(rel),
@@ -305,9 +319,11 @@ def write_comparison_csv(path, report: dict) -> None:
         w.writerow(COMPARISON_CSV_COLUMNS)
         for name, row in report["rows"].items():
             test = report["tests_atct_vs_drl"].get(name)
+            no_atct = row["atct_mean"] is None
             w.writerow([
                 name,
-                f"{row['atct_mean']:.6f}", f"{row['atct_std']:.6f}",
+                "" if no_atct else f"{row['atct_mean']:.6f}",
+                "" if no_atct else f"{row['atct_std']:.6f}",
                 f"{row['energy_kwh_mean']:.6f}", f"{row['energy_kwh_std']:.6f}",
                 f"{row['sla_rate_mean']:.6f}", f"{row['sla_rate_std']:.6f}",
                 f"{row['throughput_mean']:.6f}", f"{row['throughput_std']:.6f}",
@@ -328,8 +344,10 @@ def format_report(report: dict) -> str:
     lines.append(header)
     lines.append("-" * len(header))
     for name, row in report["rows"].items():
+        atct = ("n/a" if row["atct_mean"] is None
+                else f"{row['atct_mean']:>7.2f}±{row['atct_std']:<4.2f}")
         lines.append(
-            f"{name:<10} {row['atct_mean']:>7.2f}±{row['atct_std']:<4.2f} "
+            f"{name:<10} {atct:>12} "
             f"{row['energy_kwh_mean']:>8.3f}±{row['energy_kwh_std']:<5.3f} "
             f"{row['sla_rate_mean']:>8.3f} {row['throughput_mean']:>10.2f} "
             f"{row['completed_mean']:>10.1f} {row['energy_per_completed_kwh']:>10.5f} "

@@ -31,30 +31,11 @@ class Hyperparams:
     gamma: float = 0.99
     replay_capacity: int = 10_000
     batch_size: int = 32
-    per_epsilon: float = 0.01
-    per_exponent: float = 0.6
-    explore_epsilon_start: float = 0.3
-    explore_epsilon_decay: float = 0.995
-    explore_epsilon_min: float = 0.01
     # cap on the global gradient norm per update; None disables clipping.
     # Step rewards reach the hundreds, so raw TD errors blow up plain SGD.
     grad_clip_norm: float | None = 10.0
-    # urgency score coefficients
-    urgency_class: float = 0.4
-    urgency_slack: float = 0.3
-    urgency_resource: float = 0.3
-    # assignment score weights
+    # weight of the learned policy term in the assignment score; 0 drops it
     w_pi: float = 0.25
-    w_load: float = 0.30
-    w_mem: float = 0.20
-    w_compat: float = 0.15
-    # reward shaping constants
-    sla_plus: float = 15.0
-    sla_minus: float = 20.0
-    compl_base: float = 100.0
-    compl_slope: float = 0.5
-    energy_coef: float = 0.3
-    balance_coef: float = 200.0
 
     def __post_init__(self):
         for name in ("hidden", "replay_capacity", "batch_size"):
@@ -131,13 +112,19 @@ def forward(agents: AgentParams, obs: np.ndarray):
     return policy, value, hidden
 
 
-def priority_score(task: Task, now: float, h: Hyperparams) -> float:
+URGENCY_CLASS, URGENCY_SLACK, URGENCY_RESOURCE = 0.4, 0.3, 0.3
+
+
+def priority_score(task: Task, now: float) -> float:
     """Urgency score ordering which pending task gets placed first."""
     if now > task.deadline:
         raise ValueError("expired task must be dropped before scoring")
     slack = (task.deadline - now) / (task.deadline - task.arrival)
     resource = min(max((task.cpu / MAX_CPU_CAPACITY + task.mem / MAX_MEM_CAPACITY) / 2.0, 0.0), 1.0)
-    return h.urgency_class * (3 - task.priority) + h.urgency_slack * slack + h.urgency_resource * resource
+    return URGENCY_CLASS * (3 - task.priority) + URGENCY_SLACK * slack + URGENCY_RESOURCE * resource
+
+
+W_LOAD, W_MEM, W_COMPAT = 0.30, 0.20, 0.15
 
 
 def assignment_score(
@@ -154,9 +141,9 @@ def assignment_score(
     compat = np.clip(1.0 - np.abs(task.cpu / cpu_capacity - 0.5), 0.0, 1.0)
     return (
         h.w_pi * policy_value_for_node
-        + h.w_load * (1.0 - utilization)
-        + h.w_mem * (1.0 - mem_fraction)
-        + h.w_compat * compat
+        + W_LOAD * (1.0 - utilization)
+        + W_MEM * (1.0 - mem_fraction)
+        + W_COMPAT * compat
     )
 
 
@@ -176,7 +163,7 @@ def select_assignments(
     shifts later scores; with ``explore_epsilon == 0`` no randomness is
     consumed.
     """
-    order = sorted(pending, key=lambda t: (-priority_score(t, state.time, h), t.id))
+    order = sorted(pending, key=lambda t: (-priority_score(t, state.time), t.id))
     cpu_capacity, mem_capacity = state.specs.cpu_capacity, state.specs.mem_capacity
     util = state.utilization()
     mem_frac = state.mem_in_use / mem_capacity
@@ -201,19 +188,27 @@ def select_assignments(
     return decisions
 
 
-def compute_step_reward(report: StepReport, state: SimState, h: Hyperparams) -> float:
+SLA_PLUS = 15.0
+SLA_MINUS = 20.0
+COMPL_BASE = 100.0
+COMPL_SLOPE = 0.5
+ENERGY_COEF = 0.3
+BALANCE_COEF = 200.0
+
+
+def compute_step_reward(report: StepReport, state: SimState) -> float:
     """Shared global step reward: SLA, completion-speed, energy and balance terms."""
     r = 0.0
     for c in report.completions:
         if c.met_sla:
-            r += h.sla_plus * (4 - c.priority)
+            r += SLA_PLUS * (4 - c.priority)
         else:
-            r -= h.sla_minus * (4 - c.priority)
-        r += max(0.0, h.compl_base - h.compl_slope * c.completion_time)
+            r -= SLA_MINUS * (4 - c.priority)
+        r += max(0.0, COMPL_BASE - COMPL_SLOPE * c.completion_time)
     for tid in report.dropped:
-        r -= h.sla_minus * (4 - state.tasks[tid].priority)
-    r -= h.energy_coef * (report.energy_joules / 3.6e6)
-    r -= h.balance_coef * report.util_variance
+        r -= SLA_MINUS * (4 - state.tasks[tid].priority)
+    r -= ENERGY_COEF * (report.energy_joules / 3.6e6)
+    r -= BALANCE_COEF * report.util_variance
     return r
 
 
@@ -244,15 +239,17 @@ def td_error(agents: AgentParams, ids: np.ndarray, rows: Experience, gamma: floa
     return delta
 
 
+# Prioritized replay's priority offset and exponent (Schaul et al. 2016).
+PER_EPSILON, PER_EXPONENT = 0.01, 0.6
+
+
 class ReplayBuffer:
     """Ring of transitions with TD-error-proportional sampling (exponent 0.6).
     ``rows`` and ``priorities`` are arrays, slot for slot, that start at one row
     and double up to ``capacity``, so a buffer with few transitions stays small."""
 
-    def __init__(self, capacity: int, per_epsilon: float, per_exponent: float):
+    def __init__(self, capacity: int):
         self.capacity = capacity
-        self.per_epsilon = per_epsilon
-        self.per_exponent = per_exponent
         self.rows: Experience | None = None
         self.priorities = np.zeros(0)
         self._size = 0
@@ -262,7 +259,7 @@ class ReplayBuffer:
         return self._size
 
     def add(self, row: Experience, delta: float) -> None:
-        """Store one transition with priority |delta| + per_epsilon."""
+        """Store one transition with priority |delta| + ``PER_EPSILON``."""
         if self._size == self.capacity:
             slot = self._next
             self._next = (slot + 1) % self.capacity
@@ -277,12 +274,12 @@ class ReplayBuffer:
             self._size += 1
         for column, value in zip(self.rows, row):
             column[slot] = value
-        self.priorities[slot] = abs(delta) + self.per_epsilon
+        self.priorities[slot] = abs(delta) + PER_EPSILON
 
     def sample(self, batch_size: int, s: RngStream) -> Experience:
         if not self._size:
             raise RuntimeError("cannot sample from an empty replay buffer")
-        weights = self.priorities[: self._size] ** self.per_exponent
+        weights = self.priorities[: self._size] ** PER_EXPONENT
         cum = np.cumsum(weights / weights.sum())
         draws = s.uniform_array(batch_size)
         idx = np.minimum(np.searchsorted(cum, draws, side="right"), self._size - 1)
@@ -351,8 +348,13 @@ def apply_update(agents: AgentParams, i: int, batch: Experience, gamma: float,
     agents.current_lr[i] *= lr_decay
 
 
-def decay_explore(epsilon: float, h: Hyperparams) -> float:
-    return max(epsilon * h.explore_epsilon_decay, h.explore_epsilon_min)
+EXPLORE_EPSILON_START = 0.3
+EXPLORE_EPSILON_DECAY = 0.995
+EXPLORE_EPSILON_MIN = 0.01
+
+
+def decay_explore(epsilon: float) -> float:
+    return max(epsilon * EXPLORE_EPSILON_DECAY, EXPLORE_EPSILON_MIN)
 
 
 def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
@@ -388,11 +390,8 @@ class DrlScheduler(Scheduler):
             [derive_stream(master_seed, f"agent-init-{i}") for i in range(n_nodes)],
             self.h, OBS_DIM, n_nodes,
         )
-        self.buffers = [
-            ReplayBuffer(self.h.replay_capacity, self.h.per_epsilon, self.h.per_exponent)
-            for _ in range(n_nodes)
-        ]
-        self.explore_epsilon = self.h.explore_epsilon_start
+        self.buffers = [ReplayBuffer(self.h.replay_capacity) for _ in range(n_nodes)]
+        self.explore_epsilon = EXPLORE_EPSILON_START
         self.episodes_seen = 0
         self.reset(None)
 
@@ -440,11 +439,11 @@ class DrlScheduler(Scheduler):
 
     def after_advance(self, state, report):
         if len(self._placed):
-            self._reward = compute_step_reward(report, state, self.h)
+            self._reward = compute_step_reward(report, state)
 
     def end_episode(self, state):
         if len(self._placed):
             self._store_placed(np.zeros_like(self._placed_obs), 0.0)
         if self.train:
-            self.explore_epsilon = decay_explore(self.explore_epsilon, self.h)
+            self.explore_epsilon = decay_explore(self.explore_epsilon)
         self.episodes_seen += 1

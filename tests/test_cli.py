@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -15,13 +16,36 @@ from marlsched import experiment
 from marlsched.cli import main
 from marlsched.experiment import (
     EPISODE_CSV_COLUMNS,
+    EpisodeResult,
     ExperimentConfig,
+    build_comparison,
     read_episode_csv,
     run_scheduler,
     write_episode_csv,
 )
+from marlsched.marl import Hyperparams
+from marlsched.metrics import EpisodeMetrics
 from marlsched.plots import PlotInputError, emit_all, improvement_curve_svg
 from marlsched.schedulers import RandomScheduler
+from marlsched.simenv import SimConfig
+
+# Every settable config key, as from_flat names it.
+CONFIG_KEYS = (
+    [f.name for f in fields(ExperimentConfig) if f.name not in ("sim", "hyper")]
+    + [f"sim.{f.name}" for f in fields(SimConfig)]
+    + [f"hyper.{f.name}" for f in fields(Hyperparams)]
+)
+
+# Former Hyperparams fields that are constants of the learner now.
+REMOVED_HYPER_KEYS = [
+    f"hyper.{name}" for name in (
+        "per_epsilon", "per_exponent",
+        "explore_epsilon_start", "explore_epsilon_decay", "explore_epsilon_min",
+        "urgency_class", "urgency_slack", "urgency_resource",
+        "w_load", "w_mem", "w_compat",
+        "sla_plus", "sla_minus", "compl_base", "compl_slope", "energy_coef", "balance_coef",
+    )
+]
 
 
 class TestExperimentConfig:
@@ -47,10 +71,16 @@ class TestExperimentConfig:
         "sim.obs_dim", "sim.queue_feature_window", "sim.neighbor_count",
         "hyper.obs_dim", "hyper.n_actions", "hyper.w_prio",
         "sim.bogus", "hyper.bogus", "sim.hyper.gamma", "sim", ".episodes",
+        *REMOVED_HYPER_KEYS,
     ])
     def test_unknown_nested_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"^unknown config key: {re.escape(key)}$"):
             ExperimentConfig.from_flat({key: 7})
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_every_key_round_trips_its_default(self, key):
+        default = json.loads(json.dumps(operator.attrgetter(key)(ExperimentConfig())))
+        assert ExperimentConfig.from_flat({key: default}) == ExperimentConfig()
 
     @pytest.mark.parametrize("raw, message", [
         ({"n_nodes": "3"}, 'config key n_nodes must be int, not "3"'),
@@ -69,6 +99,11 @@ class TestExperimentConfig:
         ({"sim.dt": None}, "config key sim.dt must be float, not null"),
         ({"trace": 1}, "config key trace must be bool, not 1"),
         ({"output_dir": 5}, "config key output_dir must be str, not 5"),
+        ({"hyper.gamma": float("inf")}, "config key hyper.gamma must be float, not Infinity"),
+        ({"sim.dt": float("inf")}, "config key sim.dt must be float, not Infinity"),
+        ({"sim.dt": float("-inf")}, "config key sim.dt must be float, not -Infinity"),
+        ({"arrival_rate": float("inf")}, "config key arrival_rate must be float, not Infinity"),
+        ({"sim.max_time": float("inf")}, "config key sim.max_time must be float, not Infinity"),
     ])
     def test_value_of_wrong_type_rejected(self, raw, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -214,7 +249,8 @@ class TestCliRun:
         bad.write_text(json.dumps({"bogus_key": 1}))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("key", ["sim.obs_dim", "hyper.n_actions", "hyper.bogus"])
+    @pytest.mark.parametrize("key", ["sim.obs_dim", "hyper.n_actions", "hyper.bogus",
+                                     *REMOVED_HYPER_KEYS])
     def test_unknown_nested_config_key_exits_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 7}))
@@ -252,6 +288,10 @@ class TestCliRun:
         ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
         ({"sim.dt": float("nan")}, "config key sim.dt must be float, not NaN"),
         ({"hyper.gamma": float("nan")}, "config key hyper.gamma must be float, not NaN"),
+        ({"hyper.gamma": float("inf")}, "config key hyper.gamma must be float, not Infinity"),
+        ({"sim.dt": float("inf")}, "config key sim.dt must be float, not Infinity"),
+        ({"arrival_rate": float("inf")}, "config key arrival_rate must be float, not Infinity"),
+        ({"sim.max_time": float("inf")}, "config key sim.max_time must be float, not Infinity"),
     ])
     def test_config_that_failed_mid_run_exits_2(self, tmp_path, capsys, raw, message):
         """Each value used to pass config parsing and end the run in a traceback."""
@@ -328,6 +368,61 @@ class TestCliCompareOneEpisode:
         for name in ("random", "wrr", "minmin"):
             assert (f"drl vs {name:<8} skipped: Welch needs 2 final-window ATCT values per side, "
                     f"got 1 (drl) and 1 ({name})") in report
+
+
+class TestCliCompareNoCompletions:
+    def test_window_without_completions_reports_no_atct(self, tmp_path):
+        """A 5-s horizon completes no task: the ATCT cells are empty, the report
+        says n/a and why each test was skipped, and compare exits 0."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim.max_time": 5, "n_nodes": 4, "n_tasks": 5}))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--episodes", "2", "--out", str(out)]) == 0
+        rows = read_episode_csv(out / "comparison.csv")
+        assert [r["scheduler"] for r in rows] == ["random", "wrr", "minmin", "drl"]
+        assert all(r["atct_s_mean"] == r["atct_s_std"] == r["p_atct_vs_drl"] == "" for r in rows)
+        report = (out / "report.txt").read_text()
+        for name in ("random", "wrr", "minmin", "drl"):
+            assert re.search(rf"^{name} +n/a ", report, re.MULTILINE), name
+        for name in ("random", "wrr", "minmin"):
+            assert (f"drl vs {name:<8} skipped: no task completed in the final-window episodes "
+                    f"of drl and {name}, so there is no ATCT for the Welch test or the "
+                    f"improvement CI") in report
+
+
+def fake_results(name, atcts):
+    """Episode results whose only varying metric is the given ATCT sequence."""
+    return [EpisodeResult(ep, name, EpisodeMetrics(
+        atct=atct, energy_kwh=1.0, sla_rate=1.0, throughput=1.0, completed=int(atct is not None),
+        mean_step_util_variance=0.0, objective_j=0.0, makespan=1.0, total_tasks=1), 0.0)
+        for ep, atct in enumerate(atcts)]
+
+
+class TestBuildComparison:
+    CONFIG = ExperimentConfig(episodes=3, final_window=3, schedulers=("random", "drl"))
+
+    def test_improvement_pairs_by_episode(self):
+        """An episode where drl completed nothing drops out of the pairs; the
+        later episodes keep their own baseline partners."""
+        with pytest.warns(UserWarning, match="excluding 1 zero-completion episodes"):
+            report = build_comparison(self.CONFIG, {
+                "random": fake_results("random", [9.0, 11.0, 13.0]),
+                "drl": fake_results("drl", [None, 10.0, 12.0]),
+            })
+        assert report["improvement_over"]["random"]["mean"] == pytest.approx(
+            (1.0 / 11.0 + 1.0 / 13.0) / 2.0)
+        assert "random" in report["tests_atct_vs_drl"]
+
+    def test_baseline_without_completions_skips_its_tests(self):
+        report = build_comparison(self.CONFIG, {
+            "random": fake_results("random", [None, None, None]),
+            "drl": fake_results("drl", [8.0, 10.0, 12.0]),
+        })
+        assert report["rows"]["random"]["atct_mean"] is None
+        assert report["rows"]["drl"]["atct_mean"] == pytest.approx(10.0)
+        assert report["tests_atct_vs_drl"] == {} and report["improvement_over"] == {}
+        assert report["tests_skipped"]["random"].startswith(
+            "no task completed in the final-window episodes of random,")
 
 
 class TestCliPlot:

@@ -8,6 +8,9 @@ import pytest
 
 from marlsched.cluster import NodeSpec
 from marlsched.marl import (
+    W_COMPAT,
+    W_LOAD,
+    W_MEM,
     AgentParams,
     DrlScheduler,
     Experience,
@@ -157,21 +160,21 @@ class TestNetwork:
 class TestScores:
     def test_urgency_full_slack_production(self):
         t = Task(id=0, duration=10.0, cpu=0.0, mem=0.0, arrival=0.0, priority=0, deadline=15.0)
-        assert priority_score(t, 0.0, H) == pytest.approx(1.5)
+        assert priority_score(t, 0.0) == pytest.approx(1.5)
 
     def test_urgency_no_slack_best_effort(self):
         t = Task(id=0, duration=10.0, cpu=0.0, mem=0.0, arrival=0.0, priority=2, deadline=50.0)
-        assert priority_score(t, 50.0, H) == pytest.approx(0.4)
+        assert priority_score(t, 50.0) == pytest.approx(0.4)
 
     def test_urgency_half_slack_batch(self):
         # r_j = 0.5 needs (cpu/32 + mem/128)/2 = 0.5, e.g. cpu=16, mem=64
         t = Task(id=0, duration=10.0, cpu=16.0, mem=64.0, arrival=0.0, priority=1, deadline=30.0)
-        assert priority_score(t, 15.0, H) == pytest.approx(1.10)
+        assert priority_score(t, 15.0) == pytest.approx(1.10)
 
     def test_urgency_expired_task_rejected(self):
         t = task(0, duration=8.0)
         with pytest.raises(ValueError):
-            priority_score(t, t.deadline + 1.0, H)
+            priority_score(t, t.deadline + 1.0)
 
     def test_assignment_score_saturated_node(self):
         t = task(0, cpu=4.0, priority=0)    # cpu/C = 1 -> compat 0.5
@@ -230,24 +233,24 @@ class TestReward:
                           energy_joules=energy_joules, util_variance=util_variance)
 
     def test_on_time_production_completion(self):
-        r = compute_step_reward(self.report([self.completion(0, 200.0, True)]), None, H)
+        r = compute_step_reward(self.report([self.completion(0, 200.0, True)]), None)
         assert r == pytest.approx(60.0)   # +15*(4-0), completion bonus floors at 0
 
     def test_missed_best_effort_completion(self):
         rep = self.report([self.completion(2, 300.0, False)])
-        assert compute_step_reward(rep, None, H) == pytest.approx(-40.0)
+        assert compute_step_reward(rep, None) == pytest.approx(-40.0)
 
     def test_energy_and_balance_penalties(self):
         rep = self.report(energy_joules=10.0 * 3.6e6, util_variance=0.25)
-        assert compute_step_reward(rep, None, H) == pytest.approx(-53.0)
+        assert compute_step_reward(rep, None) == pytest.approx(-53.0)
 
     def test_drop_penalty(self):
         state = init_episode(SimConfig(), [task(0, priority=0)], [node(0)])
         rep = self.report(dropped=[0])
-        assert compute_step_reward(rep, state, H) == pytest.approx(-80.0)
+        assert compute_step_reward(rep, state) == pytest.approx(-80.0)
 
     def test_fast_completion_bonus(self):
-        r = compute_step_reward(self.report([self.completion(1, 40.0, True)]), None, H)
+        r = compute_step_reward(self.report([self.completion(1, 40.0, True)]), None)
         assert r == pytest.approx(15.0 * 3 + (100.0 - 0.5 * 40.0))
 
 
@@ -322,12 +325,12 @@ class TestTdError:
 
 class TestReplayBuffer:
     def test_zero_delta_priority_floor(self):
-        buf = ReplayBuffer(10, 0.01, 0.6)
+        buf = ReplayBuffer(10)
         buf.add(row(0), 0.0)
         assert buf.priorities[0] == pytest.approx(0.01)
 
     def test_singleton_always_sampled(self):
-        buf = ReplayBuffer(10, 0.01, 0.6)
+        buf = ReplayBuffer(10)
         buf.add(row(3), 1.0)
         batch = buf.sample(32, derive_stream(0, "replay"))
         assert all(np.array_equal(column, np.stack([value] * 32))
@@ -335,10 +338,10 @@ class TestReplayBuffer:
 
     def test_empty_buffer_raises(self):
         with pytest.raises(RuntimeError):
-            ReplayBuffer(10, 0.01, 0.6).sample(1, derive_stream(0, "x"))
+            ReplayBuffer(10).sample(1, derive_stream(0, "x"))
 
     def test_overwritten_slot_takes_new_priority(self):
-        buf = ReplayBuffer(2, 0.01, 0.6)
+        buf = ReplayBuffer(2)
         buf.add(row(0), 99.99)
         buf.add(row(1), 1.0)
         buf.add(row(2), 1.0)   # replaces row 0
@@ -348,7 +351,7 @@ class TestReplayBuffer:
         assert abs(counts[1] / 10_000.0 - 0.5) <= 0.02
 
     def test_ring_overwrite(self):
-        buf = ReplayBuffer(3, 0.01, 0.6)
+        buf = ReplayBuffer(3)
         for i in range(4):
             buf.add(row(i), 1.0)
         assert len(buf) == 3
@@ -359,7 +362,7 @@ class TestReplayBuffer:
         after each add: through the doublings 1, 2, 4, 8 and the cap at 11,
         then two full laps of overwrites."""
         cap = 11
-        buf = ReplayBuffer(cap, 0.01, 0.6)
+        buf = ReplayBuffer(cap)
         ring, nxt = [], 0
         for i in range(cap + 2 * cap + 3):
             delta = (-1) ** i * 0.5 * i
@@ -380,14 +383,14 @@ class TestReplayBuffer:
         assert np.array_equal(batch.next_obs, -batch.obs)
 
     def test_arrays_grow_with_content(self):
-        buf = ReplayBuffer(10_000, 0.01, 0.6)
+        buf = ReplayBuffer(10_000)
         for i in range(3):
             buf.add(row(i, OBS_DIM), 1.0)
         assert len(buf) == 3
         assert len(buf.priorities) < 10_000 and all(len(column) < 10_000 for column in buf.rows)
 
     def test_equal_priorities_uniform(self):
-        buf = ReplayBuffer(10, 0.01, 0.6)
+        buf = ReplayBuffer(10)
         for i in range(5):
             buf.add(row(i), 1.0)
         s = derive_stream(0, "replay-uniform")
@@ -396,7 +399,7 @@ class TestReplayBuffer:
         assert np.all(np.abs(counts / 100_000.0 - 0.2) <= 0.01)
 
     def test_priority_proportional_sampling(self):
-        buf = ReplayBuffer(10, 0.01, 0.6)
+        buf = ReplayBuffer(10)
         buf.add(row(0), 0.0)       # priority 0.01
         buf.add(row(1), 99.99)     # priority 100
         expected = 100.0**0.6 / (100.0**0.6 + 0.01**0.6)
@@ -522,16 +525,16 @@ class TestApplyUpdate:
 
 class TestExplorationDecay:
     def test_one_step(self):
-        assert decay_explore(0.3, Hyperparams()) == pytest.approx(0.2985)
+        assert decay_explore(0.3) == pytest.approx(0.2985)
 
     def test_floor(self):
-        assert decay_explore(0.0100001, Hyperparams()) == 0.01
-        assert decay_explore(0.005, Hyperparams()) == 0.01
+        assert decay_explore(0.0100001) == 0.01
+        assert decay_explore(0.005) == 0.01
 
     def test_hundred_episodes(self):
         eps = 0.3
         for _ in range(100):
-            eps = decay_explore(eps, Hyperparams())
+            eps = decay_explore(eps)
         assert eps == pytest.approx(0.3 * 0.995**100)
         assert eps == pytest.approx(0.1817, abs=1e-3)
 
@@ -644,10 +647,10 @@ def reference_select(state, pending, self_probs, s, h, explore_epsilon):
     every node at once: (task, node) pairs."""
     def score(p, util, mem_frac, task, cpu_capacity):
         compat = min(max(1.0 - abs(task.cpu / cpu_capacity - 0.5), 0.0), 1.0)
-        return (h.w_pi * p + h.w_load * (1.0 - util) + h.w_mem * (1.0 - mem_frac)
-                + h.w_compat * compat)
+        return (h.w_pi * p + W_LOAD * (1.0 - util) + W_MEM * (1.0 - mem_frac)
+                + W_COMPAT * compat)
 
-    order = sorted(pending, key=lambda t: (-priority_score(t, state.time, h), t.id))
+    order = sorted(pending, key=lambda t: (-priority_score(t, state.time), t.id))
     cpu_cap, mem_cap = state.specs.cpu_capacity.tolist(), state.specs.mem_capacity.tolist()
     util = {nid: state.cpu_in_use[nid] / cpu_cap[nid] for nid in range(state.n_nodes)}
     mem_frac = {nid: state.mem_in_use[nid] / mem_cap[nid] for nid in range(state.n_nodes)}
