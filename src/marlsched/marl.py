@@ -11,6 +11,7 @@ agent's replay keeps its transitions as array rows.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -391,6 +392,8 @@ class DrlScheduler(Scheduler):
             self.h, OBS_DIM, n_nodes,
         )
         self.buffers = [ReplayBuffer(self.h.replay_capacity) for _ in range(n_nodes)]
+        # ids of agents whose replay holds a batch, ascending; a buffer never shrinks
+        self.trainable: list[int] = []
         self.explore_epsilon = EXPLORE_EPSILON_START
         self.episodes_seen = 0
         self.reset(None)
@@ -404,11 +407,10 @@ class DrlScheduler(Scheduler):
         self._reward = 0.0
 
     def _train_eligible(self):
-        for i, buf in enumerate(self.buffers):
-            if len(buf) >= self.h.batch_size:
-                batch = buf.sample(self.h.batch_size, self._stream)
-                apply_update(self.agents, i, batch, self.h.gamma, self.h.grad_clip_norm,
-                             self.h.lr_decay)
+        for i in self.trainable:
+            batch = self.buffers[i].sample(self.h.batch_size, self._stream)
+            apply_update(self.agents, i, batch, self.h.gamma, self.h.grad_clip_norm,
+                         self.h.lr_decay)
 
     def _store_placed(self, next_obs: np.ndarray, alive: float) -> None:
         """Store the staged placements in their agents' replay, then clear them."""
@@ -416,7 +418,11 @@ class DrlScheduler(Scheduler):
         rows = Experience(self._placed_obs, next_obs, ids, np.full(n, self._reward), np.full(n, alive))
         deltas = td_error(self.agents, ids, rows, self.h.gamma)
         for k in range(n):
-            self.buffers[ids[k]].add(Experience(*(column[k] for column in rows)), deltas[k])
+            buf = self.buffers[ids[k]]
+            had_batch = len(buf) >= self.h.batch_size
+            buf.add(Experience(*(column[k] for column in rows)), deltas[k])
+            if not had_batch and len(buf) >= self.h.batch_size:
+                insort(self.trainable, int(ids[k]))
         self._placed, self._placed_obs = ids[:0], self._placed_obs[:0]
 
     def assign(self, state, pending):

@@ -7,6 +7,8 @@ left pending this step.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -101,39 +103,41 @@ class PriorityMinMinScheduler(Scheduler):
     name = "minmin"
 
     def assign(self, state, pending):
-        order = sorted(pending, key=lambda t: (t.priority, t.arrival, t.id))
+        order = sorted(pending, key=attrgetter("priority", "arrival", "id"))
         # hypothetical load including assignments made earlier in this call
         cpu_used, mem_used = state.cpu_in_use.tolist(), state.mem_in_use.tolist()
-        cpu_capacity, mem_capacity = state.specs.cpu_capacity, state.specs.mem_capacity
-        cpu_cap, mem_cap = cpu_capacity.tolist(), mem_capacity.tolist()
-        util = state.utilization()
-        cpu = np.array([t.cpu for t in order])
-        mem = np.array([t.mem for t in order])
-        # fit[n, k]: task k fits node n's remaining capacity; n_fit[k] counts them.
-        # Usage only grows within a call, so a task that fits no node now never
-        # will, and a placement on node n can only clear entries of row n.
-        fit = ((np.add.outer(cpu_used, cpu) <= cpu_capacity[:, None])
-               & (np.add.outer(mem_used, mem) <= mem_capacity[:, None]))
-        n_fit = fit.sum(axis=0)
-        candidates = np.flatnonzero(n_fit)
-        fit, n_fit = fit[:, candidates], n_fit[candidates]
-        cpu, mem = cpu[candidates], mem[candidates]
-        chosen = [None] * len(order)
-        for j, (k, c, m) in enumerate(zip(candidates.tolist(), cpu.tolist(), mem.tolist())):
-            if not n_fit[j]:
+        cpu_cap, mem_cap = state.specs.cpu_capacity.tolist(), state.specs.mem_capacity.tolist()
+        # (utilization, id) ascending: the first node that fits is the least
+        # utilized one, ties to the lowest id
+        nodes = sorted(zip(state.utilization().tolist(), range(state.n_nodes)))
+        # Sizes that fit no node, kept Pareto-minimal: cpu ascending, mem
+        # descending. Usage only grows within a call and float addition is
+        # monotone, so a task at least as large in both fits no node either.
+        failed_cpu, failed_mem = [], []
+        chosen = []
+        for t in order:
+            c, m = t.cpu, t.mem
+            k = bisect_right(failed_cpu, c)
+            if k and failed_mem[k - 1] <= m:
+                chosen.append(None)
                 continue
-            # first index of the least-utilized fitting node: the strict-< scan's pick
-            best = int(np.where(fit[:, j], util, np.inf).argmin())
-            chosen[k] = best
-            cpu_used[best] += c
-            mem_used[best] += m
-            util[best] = cpu_used[best] / cpu_cap[best]
-            row = fit[best, j + 1:]
-            still = ((cpu_used[best] + cpu[j + 1:] <= cpu_cap[best])
-                     & (mem_used[best] + mem[j + 1:] <= mem_cap[best]))
-            n_fit[j + 1:] -= row > still
-            row[...] = still
-        return [SchedulerDecision(task.id, nid) for task, nid in zip(order, chosen)]
+            for pos, (_, n) in enumerate(nodes):
+                if cpu_used[n] + c <= cpu_cap[n] and mem_used[n] + m <= mem_cap[n]:
+                    break
+            else:
+                # drop the failed sizes this one dominates, then insert it
+                lo = hi = bisect_left(failed_cpu, c)
+                while hi < len(failed_mem) and failed_mem[hi] >= m:
+                    hi += 1
+                failed_cpu[lo:hi], failed_mem[lo:hi] = [c], [m]
+                chosen.append(None)
+                continue
+            del nodes[pos]
+            cpu_used[n] += c
+            mem_used[n] += m
+            insort(nodes, (cpu_used[n] / cpu_cap[n], n))
+            chosen.append(n)
+        return list(map(SchedulerDecision, map(attrgetter("id"), order), chosen))
 
 
 BASELINES = {

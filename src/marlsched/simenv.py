@@ -44,6 +44,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
+        if self.max_time <= 0:
+            raise ValueError(f"max_time must be positive, got {self.max_time}")
 
 
 @dataclass

@@ -136,6 +136,8 @@ class TestExperimentConfig:
         ({"priority_mix": [0.5, 0.5]}, "priority_mix must hold 3 weights, got [0.5, 0.5]"),
         ({"priority_mix": [0.25, 0.25, 0.25, 0.25]},
          "priority_mix must hold 3 weights, got [0.25, 0.25, 0.25, 0.25]"),
+        ({"sim.max_time": 0}, "max_time must be positive, got 0"),
+        ({"sim.max_time": -5}, "max_time must be positive, got -5"),
     ])
     def test_value_out_of_range_rejected(self, raw, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -292,6 +294,8 @@ class TestCliRun:
         ({"sim.dt": float("inf")}, "config key sim.dt must be float, not Infinity"),
         ({"arrival_rate": float("inf")}, "config key arrival_rate must be float, not Infinity"),
         ({"sim.max_time": float("inf")}, "config key sim.max_time must be float, not Infinity"),
+        ({"sim.max_time": 0}, "max_time must be positive, got 0"),
+        ({"sim.max_time": -5}, "max_time must be positive, got -5"),
     ])
     def test_config_that_failed_mid_run_exits_2(self, tmp_path, capsys, raw, message):
         """Each value used to pass config parsing and end the run in a traceback."""

@@ -214,8 +214,60 @@ def minmin_oracle(state, pending):
     return decisions
 
 
+def rounding_boundary(holds):
+    """(used, size, cap) where ``used + size <= cap`` is ``holds`` and
+    ``size <= cap - used`` is not: the two fit tests disagree in the last bit."""
+    rng = np.random.default_rng(0)
+    while True:
+        used, size = rng.uniform(0.1, 4.0, 2).tolist()
+        for cap in (used + size, float(np.nextafter(used + size, 0.0))):
+            if (used + size <= cap) == holds and (size <= cap - used) != holds:
+                return used, size, cap
+
+
 class TestPriorityMinMinOracle:
-    """The masked-argmin placement equals the per-node scan, decision for decision."""
+    """The (utilization, id) first-fit scan with its staircase of failed sizes
+    equals the per-node scan, decision for decision."""
+
+    def decide(self, state, pending):
+        got = [(d.task_id, d.node_id) for d in PriorityMinMinScheduler().assign(state, pending)]
+        assert got == minmin_oracle(state, pending)
+        return got
+
+    @pytest.mark.parametrize("holds", [True, False])
+    @pytest.mark.parametrize("dim", ["cpu", "mem"])
+    def test_fit_is_used_plus_size_within_capacity(self, dim, holds):
+        used, size, cap = rounding_boundary(holds)
+        spec = {"cpu": 8.0, "mem": 64.0, dim: cap}
+        state = init_episode(SimConfig(), [], [node(0, **spec)])
+        getattr(state, f"{dim}_in_use")[0] = used
+        sizes = {"cpu": 0.5, "mem": 0.5, dim: size}
+        assert self.decide(state, [task(0, **sizes)]) == [(0, 0 if holds else None)]
+
+    def test_task_smaller_in_one_dimension_is_still_placed(self):
+        """Tasks 0 and 1 fit nowhere; each later task is larger than one of them
+        in one dimension and smaller in the other, so only a scan decides it."""
+        state = init_episode(SimConfig(), [], [node(0, cpu=4.0, mem=8.0), node(1, cpu=4.0, mem=8.0)])
+        pending = [task(0, cpu=1.0, mem=10.0, priority=0), task(1, cpu=5.0, mem=1.0, priority=0),
+                   task(2, cpu=2.0, mem=1.0), task(3, cpu=4.0, mem=2.0),
+                   task(4, cpu=6.0, mem=0.5), task(5, cpu=0.5, mem=9.0),
+                   task(6, cpu=7.0, mem=1.0, priority=2), task(7, cpu=1.0, mem=2.0, priority=2)]
+        assert dict(self.decide(state, pending)) == {0: None, 1: None, 2: 0, 3: 1, 4: None, 5: None,
+                                                     6: None, 7: 0}
+
+    def test_equal_utilization_after_reinsertion_ties_to_lower_id(self):
+        state = init_episode(SimConfig(), [], [node(0, cpu=8.0), node(1, cpu=4.0)])
+        state.cpu_in_use[0] = 2.0      # u = 0.25; node 1 idle
+        pending = [task(i, cpu=1.0) for i in range(5)]
+        # node 1 reaches u = 0.25 and ties node 0, then each placement re-ties the two
+        assert self.decide(state, pending) == [(0, 1), (1, 0), (2, 1), (3, 0), (4, 0)]
+
+    def test_pending_out_of_arrival_order(self):
+        state = init_episode(SimConfig(), [], [node(0, cpu=4.0)])
+        pending = [task(5, cpu=3.0, arrival=3.0), task(9, cpu=3.0, arrival=1.0),
+                   task(2, cpu=0.5, arrival=2.0), task(7, cpu=0.5, arrival=1.0),
+                   task(4, cpu=0.5, arrival=1.0), task(1, cpu=2.0, arrival=0.0, priority=2)]
+        assert self.decide(state, pending) == [(4, 0), (7, 0), (9, 0), (2, None), (5, None), (1, None)]
 
     def random_case(self, seed):
         rng = np.random.default_rng(seed)
