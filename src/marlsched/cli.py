@@ -64,7 +64,8 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "run":
-        name = args.scheduler or "drl"
+        # --scheduler, else the config's scheduler when it names exactly one
+        name = config.schedulers[0] if len(config.schedulers) == 1 else "drl"
         results = run_scheduler(config, name)
         print(f"wrote {Path(config.output_dir) / (name + '.csv')} ({len(results)} episodes)")
         return 0

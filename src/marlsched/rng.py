@@ -1,4 +1,4 @@
-"""Seeded random streams and workload distributions via inverse-CDF sampling.
+"""Seeded random streams and the inverse-CDF helpers of the workload model.
 
 Every source of randomness in the simulator goes through a labelled
 ``RngStream`` derived from a single master seed, so independent concerns
@@ -36,13 +36,17 @@ class RngStream:
         """Next uniform draw in [0, 1)."""
         return float(self._gen.random())
 
-    def normal(self) -> float:
-        """Next standard-normal draw."""
-        return float(self._gen.standard_normal())
+    def uniform_array(self, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """n uniform draws in [0, 1), or, given ``out`` instead, one written
+        into each of its elements; same sequence as that many single draws."""
+        return self._gen.random(n, out=out)
 
-    def uniform_array(self, n: int) -> np.ndarray:
-        """n uniform draws in [0, 1); same sequence as n single draws."""
-        return self._gen.random(n)
+    def normal_array(self, n: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        """n standard-normal draws, or, given ``out`` instead, one written into
+        each of its elements; same sequence as that many single draws,
+        including the ziggurat's rare draws that take more than one word of
+        the generator."""
+        return self._gen.standard_normal(n, out=out)
 
 
 def derive_stream(master_seed: int, label: str) -> RngStream:
@@ -52,40 +56,11 @@ def derive_stream(master_seed: int, label: str) -> RngStream:
     return RngStream(master_seed, label)
 
 
-# Inverse-CDF transforms, kept separate from the streams so the arithmetic is
+# Inverse-CDF transform, kept separate from the streams so the arithmetic is
 # directly checkable at fixed u.
 
 def pareto_from_uniform(u: float, alpha: float, t_min: float) -> float:
     return t_min * (1.0 - u) ** (-1.0 / alpha)
-
-
-def exponential_from_uniform(u: float, rate: float) -> float:
-    return float(-np.log1p(-u) / rate)
-
-
-def lognormal_from_normal(z: float, mu: float, sigma: float) -> float:
-    return float(np.exp(mu + sigma * z))
-
-
-def sample_pareto(s: RngStream, alpha: float, t_min: float) -> float:
-    """Pareto(alpha, t_min) draw; always >= t_min."""
-    if alpha <= 0 or t_min <= 0:
-        raise ValueError("alpha and t_min must be positive")
-    return pareto_from_uniform(s.uniform(), alpha, t_min)
-
-
-def sample_lognormal(s: RngStream, mu: float, sigma: float) -> float:
-    """LogNormal(mu, sigma) draw; always > 0."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return lognormal_from_normal(s.normal(), mu, sigma)
-
-
-def sample_exponential(s: RngStream, rate: float) -> float:
-    """Exponential(rate) draw; always >= 0."""
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    return exponential_from_uniform(s.uniform(), rate)
 
 
 def categorical_cdf(weights) -> np.ndarray:
@@ -96,10 +71,3 @@ def categorical_cdf(weights) -> np.ndarray:
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     return np.cumsum(w)
-
-
-def sample_categorical(s: RngStream, weights) -> int:
-    """Index i such that the stream's uniform falls in the i-th cumulative bin."""
-    cum = categorical_cdf(weights)
-    u = s.uniform()
-    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))

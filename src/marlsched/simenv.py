@@ -11,7 +11,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import islice
 from math import inf
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +56,7 @@ class NodeState:
     energy_joules: float = 0.0
 
 
-@dataclass(frozen=True)
-class CompletionRecord:
+class CompletionRecord(NamedTuple):
     task_id: int
     arrival: float
     finish_time: float

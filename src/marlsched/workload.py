@@ -7,8 +7,7 @@ classes with a class-dependent deadline multiplier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,8 +25,7 @@ DEFAULT_PRIORITY_MIX = (0.25, 0.60, 0.15)  # Production, Batch, Best-effort
 DEADLINE_FACTORS = (1.5, 3.0, 5.0)
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """One unit of work."""
 
     id: int
@@ -57,11 +55,14 @@ def generate_workload(
     """Generate ``count`` tasks in arrival order, ids 0..count-1.
 
     Each task draws its inter-arrival gap, duration, cpu, mem and priority in
-    that order, so the workload is a deterministic function of the stream
-    (draw order unchanged; transforms on arrays). The inverse-CDF transforms
-    run on whole arrays, except the Pareto power: it stays a Python float
-    ``**``, because numpy's array ``power`` can differ from it in the last
-    bit. Arrival times are a sequential float sum of the gaps.
+    that order (u u n n u), so the workload is a deterministic function of the
+    stream. After the first two uniforms the stream is a run of ``n n u u u``
+    blocks ending in ``n n u``, so the draws fill one array with two calls
+    per task; an array fill draws the same sequence as that many scalar
+    draws. The inverse-CDF transforms run on whole arrays, except the Pareto
+    power: it stays a Python float ``**``, because numpy's array ``power`` can
+    differ from it in the last bit. Arrival times are a sequential float sum
+    of the gaps, and deadlines the two operations of ``deadline_for``.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -69,21 +70,21 @@ def generate_workload(
         raise ValueError("arrival_rate must be positive")
     cum_mix = categorical_cdf(priority_mix)
 
-    uniform, normal = s.uniform, s.normal
-    draws = np.array([f() for _ in range(count) for f in (uniform, uniform, normal, normal, uniform)])
+    draws = np.empty(5 * count)
+    uniform, normal = s.uniform_array, s.normal_array
+    uniform(out=draws[:2])
+    for k in range(2, 5 * count - 3, 5):
+        normal(out=draws[k:k + 2])
+        uniform(out=draws[k + 2:k + 5])
+    normal(out=draws[-3:-1])
+    uniform(out=draws[-1:])
     u_gap, u_duration, z_cpu, z_mem, u_priority = draws.reshape(count, 5).T
-    gaps = (-np.log1p(-u_gap) / arrival_rate).tolist()
-    durations = [pareto_from_uniform(u, DURATION_ALPHA, DURATION_TMIN) for u in u_duration.tolist()]
-    cpus = np.exp(CPU_MU + CPU_SIGMA * z_cpu).tolist()
-    mems = np.exp(MEM_MU + MEM_SIGMA * z_mem).tolist()
-    priorities = np.minimum(np.searchsorted(cum_mix, u_priority, side="right"),
-                            len(cum_mix) - 1).tolist()
 
-    tasks = []
-    now = 0.0
-    for i, (gap, duration, cpu, mem, priority) in enumerate(
-            zip(gaps, durations, cpus, mems, priorities)):
-        now += gap
-        tasks.append(Task(id=i, duration=duration, cpu=cpu, mem=mem, arrival=now,
-                          priority=priority, deadline=deadline_for(now, duration, priority)))
-    return tasks
+    arrivals = np.add.accumulate(-np.log1p(-u_gap) / arrival_rate)
+    durations = [pareto_from_uniform(u, DURATION_ALPHA, DURATION_TMIN) for u in u_duration.tolist()]
+    cpus = np.exp(CPU_MU + CPU_SIGMA * z_cpu)
+    mems = np.exp(MEM_MU + MEM_SIGMA * z_mem)
+    priorities = np.minimum(np.searchsorted(cum_mix, u_priority, side="right"), len(cum_mix) - 1)
+    deadlines = arrivals + np.array(DEADLINE_FACTORS)[priorities] * durations
+    return list(map(Task, range(count), durations, cpus.tolist(), mems.tolist(),
+                    arrivals.tolist(), priorities.tolist(), deadlines.tolist()))

@@ -241,6 +241,19 @@ class TestCliRun:
         assert (out1 / "random.csv").read_bytes() == (out2 / "random.csv").read_bytes()
         assert len(read_episode_csv(out1 / "random.csv")) == 3
 
+    @pytest.mark.parametrize("schedulers, flag, written", [
+        (["minmin"], [], "minmin"),
+        (["minmin"], ["--scheduler", "wrr"], "wrr"),
+        (["random", "wrr"], [], "drl"),
+    ])
+    def test_run_picks_the_config_scheduler(self, tmp_path, schedulers, flag, written):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedulers": schedulers, "n_nodes": 4, "n_tasks": 10,
+                                   "episodes": 1, "final_window": 1}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 0
+        assert sorted(p.name for p in out.iterdir() if p.suffix == ".csv") == [f"{written}.csv"]
+
     def test_unknown_scheduler_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--scheduler", "sjf", "--out", str(tmp_path)])
         assert rc == 2

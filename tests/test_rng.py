@@ -1,20 +1,56 @@
-"""Stream determinism, independence, and inverse-CDF sampling oracles."""
+"""Stream determinism, independence, and inverse-CDF sampling oracles.
+
+The scalar samplers here draw one value per stream call. The workload
+generator does not use them; ``tests/test_workload.py`` builds its reference
+workload from them.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marlsched.rng import (
-    RngStream,
-    derive_stream,
-    exponential_from_uniform,
-    lognormal_from_normal,
-    pareto_from_uniform,
-    sample_categorical,
-    sample_exponential,
-    sample_lognormal,
-    sample_pareto,
-)
+from marlsched.rng import categorical_cdf, derive_stream, pareto_from_uniform
+
+
+def normal(s) -> float:
+    """Next standard-normal draw of stream ``s``: one scalar generator call."""
+    return float(s._gen.standard_normal())
+
+
+def exponential_from_uniform(u: float, rate: float) -> float:
+    return float(-np.log1p(-u) / rate)
+
+
+def lognormal_from_normal(z: float, mu: float, sigma: float) -> float:
+    return float(np.exp(mu + sigma * z))
+
+
+def sample_pareto(s, alpha: float, t_min: float) -> float:
+    """Pareto(alpha, t_min) draw; always >= t_min."""
+    if alpha <= 0 or t_min <= 0:
+        raise ValueError("alpha and t_min must be positive")
+    return pareto_from_uniform(s.uniform(), alpha, t_min)
+
+
+def sample_lognormal(s, mu: float, sigma: float) -> float:
+    """LogNormal(mu, sigma) draw; always > 0."""
+    if sigma <= 0:
+        raise ValueError("sigma must be positive")
+    return lognormal_from_normal(normal(s), mu, sigma)
+
+
+def sample_exponential(s, rate: float) -> float:
+    """Exponential(rate) draw; always >= 0."""
+    if rate <= 0:
+        raise ValueError("rate must be positive")
+    return exponential_from_uniform(s.uniform(), rate)
+
+
+def sample_categorical(s, weights) -> int:
+    """Index i such that the stream's uniform falls in the i-th cumulative bin."""
+    cum = categorical_cdf(weights)
+    u = s.uniform()
+    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
 
 
 class FixedUniformStream:
@@ -51,6 +87,25 @@ class TestStreams:
         a = derive_stream(7, "x")
         b = derive_stream(7, "x")
         assert list(a.uniform_array(20)) == [b.uniform() for _ in range(20)]
+
+    def test_normal_array_matches_single_draws(self):
+        # 20 000 normals include some of the ziggurat's multi-word draws
+        a = derive_stream(7, "x")
+        b = derive_stream(7, "x")
+        assert a.normal_array(20_000).tolist() == [normal(b) for _ in range(20_000)]
+
+    def test_fills_into_out_match_single_draws(self):
+        a = derive_stream(7, "x")
+        b = derive_stream(7, "x")
+        buf = np.empty(12)
+        for k in range(0, 12, 6):
+            a.uniform_array(out=buf[k:k + 2])
+            a.normal_array(out=buf[k + 2:k + 6])
+        want = []
+        for _ in range(2):
+            want += [b.uniform() for _ in range(2)] + [normal(b) for _ in range(4)]
+        assert buf.tolist() == want
+        assert a.uniform() == b.uniform()
 
     @given(st.integers(min_value=0, max_value=2**32), st.text(min_size=1, max_size=20))
     def test_uniform_in_unit_interval(self, seed, label):

@@ -57,6 +57,22 @@ def advance_energy(state):
     return report, [n.energy_joules - b for n, b in zip(state.nodes, before)]
 
 
+@pytest.mark.parametrize("cls, values", [
+    (Task, dict(id=3, duration=8.0, cpu=1.5, mem=2.0, arrival=4.0, priority=2, deadline=44.0)),
+    (CompletionRecord, dict(task_id=3, arrival=4.0, finish_time=20.0, completion_time=16.0,
+                            met_sla=True, priority=2, node_id=1)),
+])
+def test_records_keep_field_order_and_reject_assignment(cls, values):
+    record = cls(**values)
+    assert record == cls(*values.values())
+    assert [getattr(record, name) for name in values] == list(values.values())
+    assert hash(record) == hash(cls(**values))
+    for name in [*values, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+    assert [getattr(record, name) for name in values] == list(values.values())
+
+
 class TestInit:
     def test_fresh_state(self):
         tasks = generate_workload(derive_stream(42, "wl"), 1000)

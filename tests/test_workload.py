@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from marlsched.rng import (
-    derive_stream,
-    sample_categorical,
-    sample_exponential,
-    sample_lognormal,
-    sample_pareto,
-)
+from marlsched.rng import derive_stream
 from marlsched.workload import (
     CPU_MU,
     CPU_SIGMA,
@@ -24,6 +18,7 @@ from marlsched.workload import (
     deadline_for,
     generate_workload,
 )
+from test_rng import sample_categorical, sample_exponential, sample_lognormal, sample_pareto
 
 
 def reference_workload(s, count, arrival_rate=DEFAULT_ARRIVAL_RATE,
@@ -39,6 +34,19 @@ def reference_workload(s, count, arrival_rate=DEFAULT_ARRIVAL_RATE,
         tasks.append(Task(i, duration, cpu, mem, now, priority,
                           deadline_for(now, duration, priority)))
     return tasks
+
+
+def extra_words(start, end, words, limit=10_000):
+    """How many 64-bit words past the first ``words`` take a PCG64 generator
+    from state ``start`` to state ``end``: 0 when every draw took one word."""
+    bits = np.random.PCG64()
+    bits.state = start
+    bits.advance(words)
+    for extra in range(limit):
+        if bits.state == end:
+            return extra
+        bits.advance(1)
+    raise AssertionError(f"state not reached within {limit} extra words")
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +129,21 @@ class TestReferenceEquivalence:
         got = generate_workload(derive_stream(5, "wl"), 3000, arrival_rate, priority_mix)
         assert got == reference_workload(derive_stream(5, "wl"), 3000, arrival_rate, priority_mix)
         assert all(type(t.priority) is int and type(t.cpu) is float for t in got)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_loaded_scale(self, seed):
+        """The benchmark's loaded episode size: 21 804 tasks at 34.61 tasks/s.
+        Both streams end at the same position, and the run included normals
+        that took more than one generator word, so the fills were checked on
+        the ziggurat's slow path too."""
+        count, rate = 21_804, 34.61
+        got_s, want_s = derive_stream(seed, "workload-0"), derive_stream(seed, "workload-0")
+        start = got_s._gen.bit_generator.state
+        got = generate_workload(got_s, count, rate)
+        assert got == reference_workload(want_s, count, rate)
+        assert {tuple(map(type, t)) for t in got} == {(int, float, float, float, float, int, float)}
+        assert [got_s.uniform() for _ in range(3)] == [want_s.uniform() for _ in range(3)]
+        assert extra_words(start, got_s._gen.bit_generator.state, 5 * count + 3) > 0
 
     @pytest.mark.parametrize("priority_mix", [(0.3, 0.3), (1.2, -0.2, 0.0)])
     def test_bad_priority_mix_errors_unchanged(self, priority_mix):
