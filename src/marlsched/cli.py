@@ -16,10 +16,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Heterogeneous scheduling simulator and experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def selection(p):
         p.add_argument("--config", type=str, help="JSON config file (flat dotted keys)")
         p.add_argument("--scheduler", type=str, help="scheduler name: random|wrr|minmin|drl")
         p.add_argument("--episodes", type=int)
+
+    def common(p):
+        selection(p)
         p.add_argument("--seed", type=int)
         p.add_argument("--nodes", type=int)
         p.add_argument("--tasks", type=int)
@@ -30,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("compare", help="run all schedulers and build the comparison report"))
     plot = sub.add_parser("plot", help="emit SVG plots from result CSVs")
     plot.add_argument("results_dir", nargs="?", default=None)
-    common(plot)
+    selection(plot)
     return parser
 
 
@@ -40,17 +43,13 @@ def config_from_args(args) -> ExperimentConfig:
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
         overrides["final_window"] = min(config.final_window, args.episodes)
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.nodes is not None:
-        overrides["n_nodes"] = args.nodes
-    if args.tasks is not None:
-        overrides["n_tasks"] = args.tasks
-    if args.out is not None:
-        overrides["output_dir"] = args.out
-    if args.trace:
+    for flag, key in (("seed", "master_seed"), ("nodes", "n_nodes"), ("tasks", "n_tasks"),
+                      ("out", "output_dir")):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = getattr(args, flag)
+    if getattr(args, "trace", False):
         overrides["trace"] = True
-    if getattr(args, "scheduler", None):
+    if args.scheduler:
         overrides["schedulers"] = (args.scheduler,)
     return replace(config, **overrides)
 

@@ -51,7 +51,7 @@ def _uniform_in(s: RngStream, lo: float, hi: float) -> float:
     return lo + (hi - lo) * s.uniform()
 
 
-def generate_cluster(s: RngStream, n: int, tiers: dict[str, TierConfig] | None = None) -> list[NodeSpec]:
+def generate_cluster(s: RngStream, n: int) -> list[NodeSpec]:
     """Draw ``n`` node specs: High nodes first, then Medium, then Low.
 
     Rounding remainders go to the Medium tier.  CPU capacities are integer
@@ -59,14 +59,13 @@ def generate_cluster(s: RngStream, n: int, tiers: dict[str, TierConfig] | None =
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    tiers = tiers or DEFAULT_TIERS
-    n_high = round(tiers[HIGH].fraction * n)
-    n_low = round(tiers[LOW].fraction * n)
+    n_high = round(DEFAULT_TIERS[HIGH].fraction * n)
+    n_low = round(DEFAULT_TIERS[LOW].fraction * n)
     n_medium = n - n_high - n_low
 
     nodes = []
     for tier_name, count in ((HIGH, n_high), (MEDIUM, n_medium), (LOW, n_low)):
-        cfg = tiers[tier_name]
+        cfg = DEFAULT_TIERS[tier_name]
         for _ in range(count):
             # Integer core counts: uniform over the integers in range, inclusive.
             lo, hi = cfg.cpu_range

@@ -14,11 +14,11 @@ from typing import Sequence, get_args, get_origin, get_type_hints
 from .cluster import generate_cluster
 from .marl import DrlScheduler, Hyperparams, save_checkpoint
 from .metrics import EpisodeMetrics, aggregate_final, summarize_episode
-from .rng import categorical_cdf, derive_stream
+from .rng import derive_stream
 from .schedulers import BASELINES, Scheduler
 from .simenv import SimConfig, advance, enqueue_assignment, init_episode
 from .stats import bonferroni, confidence_interval_95, welch_t_test
-from .workload import DEFAULT_ARRIVAL_RATE, DEFAULT_PRIORITY_MIX, generate_workload
+from .workload import DEFAULT_ARRIVAL_RATE, generate_workload
 
 ALL_SCHEDULERS = ("random", "wrr", "minmin", "drl")
 
@@ -37,7 +37,6 @@ class ExperimentConfig:
     final_window: int = 10
     schedulers: tuple[str, ...] = ALL_SCHEDULERS
     arrival_rate: float = DEFAULT_ARRIVAL_RATE
-    priority_mix: tuple[float, float, float] = DEFAULT_PRIORITY_MIX
     sim: SimConfig = field(default_factory=SimConfig)
     hyper: Hyperparams = field(default_factory=Hyperparams)
     output_dir: str = "results"
@@ -50,6 +49,8 @@ class ExperimentConfig:
             if name not in ALL_SCHEDULERS:
                 raise ValueError(f"unknown scheduler {name!r}; "
                                  f"choose from {', '.join(ALL_SCHEDULERS)}")
+            if self.schedulers.count(name) > 1:
+                raise ValueError(f"duplicate scheduler {name!r}")
         if not self.episodes >= self.final_window >= 1:
             raise ValueError("need episodes >= final_window >= 1")
         if self.n_nodes < 1:
@@ -58,13 +59,6 @@ class ExperimentConfig:
             raise ValueError(f"n_tasks must be >= 1, got {self.n_tasks}")
         if not self.arrival_rate > 0:
             raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
-        mix = list(self.priority_mix)
-        if len(mix) != 3:
-            raise ValueError(f"priority_mix must hold 3 weights, got {mix}")
-        try:
-            categorical_cdf(mix)   # the check generate_workload makes, made up front
-        except ValueError as exc:
-            raise ValueError(f"priority_mix {mix}: {exc}") from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -129,7 +123,6 @@ def build_episode_inputs(config: ExperimentConfig, episode: int):
         derive_stream(config.master_seed, f"workload-{episode}"),
         config.n_tasks,
         config.arrival_rate,
-        config.priority_mix,
     )
     return tasks, cluster
 

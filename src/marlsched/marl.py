@@ -395,7 +395,6 @@ class DrlScheduler(Scheduler):
         # ids of agents whose replay holds a batch, ascending; a buffer never shrinks
         self.trainable: list[int] = []
         self.explore_epsilon = EXPLORE_EPSILON_START
-        self.episodes_seen = 0
         self.reset(None)
 
     def reset(self, state, stream=None):
@@ -452,4 +451,3 @@ class DrlScheduler(Scheduler):
             self._store_placed(np.zeros_like(self._placed_obs), 0.0)
         if self.train:
             self.explore_epsilon = decay_explore(self.explore_epsilon)
-        self.episodes_seen += 1

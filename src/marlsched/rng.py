@@ -1,4 +1,4 @@
-"""Seeded random streams and the inverse-CDF helpers of the workload model.
+"""Seeded random streams and the Pareto inverse CDF of the workload model.
 
 Every source of randomness in the simulator goes through a labelled
 ``RngStream`` derived from a single master seed, so independent concerns
@@ -23,14 +23,13 @@ class RngStream:
 
     master_seed: int
     label: str
-    _gen: np.random.Generator = field(repr=False, default=None)
+    _gen: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self._gen is None:
-            digest = hashlib.sha256(self.label.encode("utf-8")).digest()
-            words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
-            seq = np.random.SeedSequence([int(self.master_seed) & 0xFFFFFFFFFFFFFFFF, *words])
-            self._gen = np.random.Generator(np.random.PCG64(seq))
+        digest = hashlib.sha256(self.label.encode("utf-8")).digest()
+        words = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]
+        seq = np.random.SeedSequence([int(self.master_seed) & 0xFFFFFFFFFFFFFFFF, *words])
+        self._gen = np.random.Generator(np.random.PCG64(seq))
 
     def uniform(self) -> float:
         """Next uniform draw in [0, 1)."""
@@ -62,12 +61,3 @@ def derive_stream(master_seed: int, label: str) -> RngStream:
 def pareto_from_uniform(u: float, alpha: float, t_min: float) -> float:
     return t_min * (1.0 - u) ** (-1.0 / alpha)
 
-
-def categorical_cdf(weights) -> np.ndarray:
-    """Cumulative bins of a categorical distribution; checks the weights."""
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {float(w.sum())!r}")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    return np.cumsum(w)

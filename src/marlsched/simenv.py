@@ -38,12 +38,10 @@ DURATION_LOG_CEILING = 1000.0
 
 @dataclass
 class SimConfig:
-    dt: float = 5.0
     max_time: float = 10_000.0
+    dt = 5.0  # the fixed step in seconds; unannotated, so not a field or a config key
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
         if self.max_time <= 0:
             raise ValueError(f"max_time must be positive, got {self.max_time}")
 

@@ -7,11 +7,11 @@ classes with a class-dependent deadline multiplier.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .rng import RngStream, categorical_cdf, pareto_from_uniform
+from .rng import RngStream, pareto_from_uniform
 
 # Distribution parameters of the workload model.
 DURATION_ALPHA = 1.5
@@ -19,7 +19,8 @@ DURATION_TMIN = 5.0
 CPU_MU, CPU_SIGMA = 0.5, 0.8
 MEM_MU, MEM_SIGMA = 2.0, 1.0
 DEFAULT_ARRIVAL_RATE = 0.5
-DEFAULT_PRIORITY_MIX = (0.25, 0.60, 0.15)  # Production, Batch, Best-effort
+PRIORITY_MIX = (0.25, 0.60, 0.15)  # Production, Batch, Best-effort
+PRIORITY_BINS = np.cumsum(PRIORITY_MIX)
 
 # Deadline multiplier per priority class.
 DEADLINE_FACTORS = (1.5, 3.0, 5.0)
@@ -37,21 +38,7 @@ class Task(NamedTuple):
     deadline: float   # seconds
 
 
-def deadline_for(arrival: float, duration: float, priority: int) -> float:
-    """Deadline = arrival + class multiplier times duration."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if priority not in (0, 1, 2):
-        raise ValueError(f"priority must be 0, 1 or 2, got {priority}")
-    return arrival + DEADLINE_FACTORS[priority] * duration
-
-
-def generate_workload(
-    s: RngStream,
-    count: int,
-    arrival_rate: float = DEFAULT_ARRIVAL_RATE,
-    priority_mix: Sequence[float] = DEFAULT_PRIORITY_MIX,
-) -> list[Task]:
+def generate_workload(s: RngStream, count: int, arrival_rate: float = DEFAULT_ARRIVAL_RATE) -> list[Task]:
     """Generate ``count`` tasks in arrival order, ids 0..count-1.
 
     Each task draws its inter-arrival gap, duration, cpu, mem and priority in
@@ -62,13 +49,12 @@ def generate_workload(
     draws. The inverse-CDF transforms run on whole arrays, except the Pareto
     power: it stays a Python float ``**``, because numpy's array ``power`` can
     differ from it in the last bit. Arrival times are a sequential float sum
-    of the gaps, and deadlines the two operations of ``deadline_for``.
+    of the gaps, and a deadline is arrival + class multiplier times duration.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if arrival_rate <= 0:
         raise ValueError("arrival_rate must be positive")
-    cum_mix = categorical_cdf(priority_mix)
 
     draws = np.empty(5 * count)
     uniform, normal = s.uniform_array, s.normal_array
@@ -84,7 +70,8 @@ def generate_workload(
     durations = [pareto_from_uniform(u, DURATION_ALPHA, DURATION_TMIN) for u in u_duration.tolist()]
     cpus = np.exp(CPU_MU + CPU_SIGMA * z_cpu)
     mems = np.exp(MEM_MU + MEM_SIGMA * z_mem)
-    priorities = np.minimum(np.searchsorted(cum_mix, u_priority, side="right"), len(cum_mix) - 1)
+    priorities = np.minimum(np.searchsorted(PRIORITY_BINS, u_priority, side="right"),
+                            len(PRIORITY_MIX) - 1)
     deadlines = arrivals + np.array(DEADLINE_FACTORS)[priorities] * durations
     return list(map(Task, range(count), durations, cpus.tolist(), mems.tolist(),
                     arrivals.tolist(), priorities.tolist(), deadlines.tolist()))

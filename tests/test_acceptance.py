@@ -32,7 +32,7 @@ from marlsched.schedulers import (
 )
 from marlsched.simenv import OBS_DIM, SimConfig, advance, enqueue_assignment, init_episode
 from marlsched.stats import confidence_interval_95, welch_t_test
-from marlsched.workload import Task, deadline_for, generate_workload
+from marlsched.workload import DEADLINE_FACTORS, Task, generate_workload
 
 from test_marl import copy_params, random_batch, small_hyper, surrogate_loss, td_targets
 
@@ -51,7 +51,7 @@ def _spec(nid, cpu=4.0, p_idle=100.0, p_dyn=200.0):
 
 def _task(tid, duration, cpu=1.0, arrival=0.0, priority=1):
     return Task(id=tid, duration=duration, cpu=cpu, mem=1.0, arrival=arrival,
-                priority=priority, deadline=deadline_for(arrival, duration, priority))
+                priority=priority, deadline=arrival + DEADLINE_FACTORS[priority] * duration)
 
 
 # --------------------------------------------------------------------------

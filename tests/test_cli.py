@@ -29,12 +29,17 @@ from marlsched.plots import PlotInputError, emit_all, improvement_curve_svg
 from marlsched.schedulers import RandomScheduler
 from marlsched.simenv import SimConfig
 
-# Every settable config key, as from_flat names it.
-CONFIG_KEYS = (
-    [f.name for f in fields(ExperimentConfig) if f.name not in ("sim", "hyper")]
-    + [f"sim.{f.name}" for f in fields(SimConfig)]
-    + [f"hyper.{f.name}" for f in fields(Hyperparams)]
-)
+# Every settable config key, as from_flat names it. Adding a setting is an edit here.
+CONFIG_KEYS = [
+    "master_seed", "n_nodes", "n_tasks", "episodes", "final_window", "schedulers",
+    "arrival_rate", "output_dir", "trace",
+    "sim.max_time",
+    "hyper.hidden", "hyper.learning_rate", "hyper.lr_decay", "hyper.gamma",
+    "hyper.grad_clip_norm", "hyper.batch_size", "hyper.replay_capacity", "hyper.w_pi",
+]
+
+# Former settings that are constants now: the workload's priority mix and the step.
+REMOVED_KEYS = ["priority_mix", "sim.dt"]
 
 # Former Hyperparams fields that are constants of the learner now.
 REMOVED_HYPER_KEYS = [
@@ -54,14 +59,22 @@ class TestExperimentConfig:
         assert cfg.n_nodes == 100 and cfg.n_tasks == 1000
         assert cfg.episodes == 30 and cfg.final_window == 10
         assert cfg.master_seed == 42
+        assert SimConfig().dt == cfg.sim.dt == 5.0
+
+    def test_config_keys_are_the_settable_fields(self):
+        assert sorted(CONFIG_KEYS) == sorted(
+            [f.name for f in fields(ExperimentConfig) if f.name not in ("sim", "hyper")]
+            + [f"sim.{f.name}" for f in fields(SimConfig)]
+            + [f"hyper.{f.name}" for f in fields(Hyperparams)]
+        )
 
     def test_from_flat_with_dotted_keys(self):
         cfg = ExperimentConfig.from_flat({
             "n_nodes": 10, "episodes": 5, "final_window": 2,
-            "schedulers": ["random", "drl"], "sim.dt": 2.5, "hyper.gamma": 0.9,
+            "schedulers": ["random", "drl"], "sim.max_time": 250.0, "hyper.gamma": 0.9,
         })
         assert cfg.n_nodes == 10 and cfg.schedulers == ("random", "drl")
-        assert cfg.sim.dt == 2.5 and cfg.hyper.gamma == 0.9
+        assert cfg.sim.max_time == 250.0 and cfg.hyper.gamma == 0.9
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +84,7 @@ class TestExperimentConfig:
         "sim.obs_dim", "sim.queue_feature_window", "sim.neighbor_count",
         "hyper.obs_dim", "hyper.n_actions", "hyper.w_prio",
         "sim.bogus", "hyper.bogus", "sim.hyper.gamma", "sim", ".episodes",
-        *REMOVED_HYPER_KEYS,
+        *REMOVED_HYPER_KEYS, *REMOVED_KEYS,
     ])
     def test_unknown_nested_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"^unknown config key: {re.escape(key)}$"):
@@ -88,20 +101,19 @@ class TestExperimentConfig:
         ({"n_nodes": 3.0}, "config key n_nodes must be int, not 3.0"),
         ({"schedulers": "drl"}, 'config key schedulers must be a list of str, not "drl"'),
         ({"schedulers": ["drl", 1]}, 'config key schedulers must be a list of str, not ["drl", 1]'),
-        ({"priority_mix": 0.5}, "config key priority_mix must be a list of float, not 0.5"),
-        ({"priority_mix": [0.5, True, 0.5]},
-         "config key priority_mix must be a list of float, not [0.5, true, 0.5]"),
+        ({"schedulers": 5}, "config key schedulers must be a list of str, not 5"),
+        ({"schedulers": [None]}, "config key schedulers must be a list of str, not [null]"),
         ({"hyper.gamma": "0.9"}, 'config key hyper.gamma must be float, not "0.9"'),
         ({"hyper.gamma": None}, "config key hyper.gamma must be float, not null"),
         ({"hyper.gamma": False}, "config key hyper.gamma must be float, not false"),
         ({"hyper.grad_clip_norm": "10"},
          'config key hyper.grad_clip_norm must be float | None, not "10"'),
-        ({"sim.dt": None}, "config key sim.dt must be float, not null"),
+        ({"sim.max_time": None}, "config key sim.max_time must be float, not null"),
         ({"trace": 1}, "config key trace must be bool, not 1"),
         ({"output_dir": 5}, "config key output_dir must be str, not 5"),
         ({"hyper.gamma": float("inf")}, "config key hyper.gamma must be float, not Infinity"),
-        ({"sim.dt": float("inf")}, "config key sim.dt must be float, not Infinity"),
-        ({"sim.dt": float("-inf")}, "config key sim.dt must be float, not -Infinity"),
+        ({"arrival_rate": float("-inf")}, "config key arrival_rate must be float, not -Infinity"),
+        ({"sim.max_time": float("-inf")}, "config key sim.max_time must be float, not -Infinity"),
         ({"arrival_rate": float("inf")}, "config key arrival_rate must be float, not Infinity"),
         ({"sim.max_time": float("inf")}, "config key sim.max_time must be float, not Infinity"),
     ])
@@ -111,10 +123,10 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize("key, value, expected", [
         ("hyper.gamma", 1, 1),
-        ("sim.dt", 2, 2),
+        ("sim.max_time", 2, 2),
         ("hyper.grad_clip_norm", None, None),
         ("hyper.grad_clip_norm", 3, 3),
-        ("priority_mix", [1, 0.0, 0], (1, 0.0, 0)),
+        ("arrival_rate", 3, 3),
         ("schedulers", ["minmin"], ("minmin",)),
         ("trace", True, True),
     ])
@@ -129,13 +141,10 @@ class TestExperimentConfig:
         ({"hyper.batch_size": 0}, "hyper.batch_size must be >= 1, got 0"),
         ({"hyper.replay_capacity": 0}, "hyper.replay_capacity must be >= 1, got 0"),
         ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
-        ({"priority_mix": [0.5, 0.5, 0.5]},
-         "priority_mix [0.5, 0.5, 0.5]: weights must sum to 1, got 1.5"),
-        ({"priority_mix": [1.2, -0.2, 0.0]},
-         "priority_mix [1.2, -0.2, 0.0]: weights must be nonnegative"),
-        ({"priority_mix": [0.5, 0.5]}, "priority_mix must hold 3 weights, got [0.5, 0.5]"),
-        ({"priority_mix": [0.25, 0.25, 0.25, 0.25]},
-         "priority_mix must hold 3 weights, got [0.25, 0.25, 0.25, 0.25]"),
+        ({"schedulers": ["random", "random"]}, "duplicate scheduler 'random'"),
+        ({"schedulers": []}, "schedulers must be nonempty"),
+        ({"episodes": 0}, "need episodes >= final_window >= 1"),
+        ({"final_window": 0}, "need episodes >= final_window >= 1"),
         ({"sim.max_time": 0}, "max_time must be positive, got 0"),
         ({"sim.max_time": -5}, "max_time must be positive, got -5"),
     ])
@@ -264,8 +273,18 @@ class TestCliRun:
         bad.write_text(json.dumps({"bogus_key": 1}))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_duplicate_scheduler_exits_2(self, tmp_path, capsys):
+        """A repeated name used to run that scheduler's protocol twice into one CSV."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"schedulers": ["random", "random"], "n_nodes": 4,
+                                   "n_tasks": 10, "episodes": 1, "final_window": 1}))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: duplicate scheduler 'random'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key", ["sim.obs_dim", "hyper.n_actions", "hyper.bogus",
-                                     *REMOVED_HYPER_KEYS])
+                                     *REMOVED_HYPER_KEYS, *REMOVED_KEYS])
     def test_unknown_nested_config_key_exits_2(self, tmp_path, capsys, key):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({key: 7}))
@@ -298,13 +317,12 @@ class TestCliRun:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("raw, message", [
-        ({"priority_mix": [0.5, 0.5, 0.5]},
-         "priority_mix [0.5, 0.5, 0.5]: weights must sum to 1, got 1.5"),
+        ({"arrival_rate": float("nan")}, "config key arrival_rate must be float, not NaN"),
         ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
-        ({"sim.dt": float("nan")}, "config key sim.dt must be float, not NaN"),
+        ({"sim.max_time": float("nan")}, "config key sim.max_time must be float, not NaN"),
         ({"hyper.gamma": float("nan")}, "config key hyper.gamma must be float, not NaN"),
         ({"hyper.gamma": float("inf")}, "config key hyper.gamma must be float, not Infinity"),
-        ({"sim.dt": float("inf")}, "config key sim.dt must be float, not Infinity"),
+        ({"sim.max_time": float("-inf")}, "config key sim.max_time must be float, not -Infinity"),
         ({"arrival_rate": float("inf")}, "config key arrival_rate must be float, not Infinity"),
         ({"sim.max_time": float("inf")}, "config key sim.max_time must be float, not Infinity"),
         ({"sim.max_time": 0}, "max_time must be positive, got 0"),
@@ -466,6 +484,14 @@ class TestCliPlot:
         assert "drl.csv" in err    # the failing plot names the missing file
         assert (partial / "learning_curve.svg").exists()
         assert not (partial / "improvement.svg").exists()
+
+    @pytest.mark.parametrize("flag", ["--seed 5", "--nodes 3", "--tasks 2", "--trace", "--out x"])
+    def test_run_flags_rejected(self, tmp_path, capsys, flag):
+        """plot reads only the result CSVs, so the flags that shape a run are not options."""
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", *flag.split(), str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_improvement_plot_error_names_file(self, tmp_path):
         with pytest.raises(PlotInputError, match="drl.csv"):

@@ -32,7 +32,7 @@ from marlsched.rng import derive_stream
 from marlsched.simenv import (
     OBS_DIM, CompletionRecord, SimConfig, StepReport, build_observation, init_episode,
 )
-from marlsched.workload import Task, deadline_for
+from marlsched.workload import DEADLINE_FACTORS, Task
 
 H = Hyperparams()
 
@@ -62,7 +62,7 @@ def node(nid, cpu=4.0, mem=64.0):
 
 def task(tid, duration=10.0, cpu=1.0, mem=1.0, arrival=0.0, priority=1):
     return Task(id=tid, duration=duration, cpu=cpu, mem=mem, arrival=arrival,
-                priority=priority, deadline=deadline_for(arrival, duration, priority))
+                priority=priority, deadline=arrival + DEADLINE_FACTORS[priority] * duration)
 
 
 class TestNetwork:
@@ -603,7 +603,6 @@ class TestDrlScheduler:
         sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
         eps0 = sched.explore_epsilon
         run_episode(sched, cfg, 0)
-        assert sched.episodes_seen == 1
         assert sched.explore_epsilon == pytest.approx(eps0 * 0.995)
 
     @pytest.mark.parametrize("batch_size, capacity", [(10, 10_000), (10, 10), (8, 3)])

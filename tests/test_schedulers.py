@@ -11,7 +11,7 @@ from marlsched.schedulers import (
     WeightedRoundRobinScheduler,
 )
 from marlsched.simenv import SimConfig, enqueue_assignment, init_episode
-from marlsched.workload import Task, deadline_for
+from marlsched.workload import DEADLINE_FACTORS, Task
 
 
 def node(nid, cpu=4.0, mem=64.0):
@@ -21,7 +21,7 @@ def node(nid, cpu=4.0, mem=64.0):
 
 def task(tid, duration=10.0, cpu=1.0, mem=1.0, arrival=0.0, priority=1):
     return Task(id=tid, duration=duration, cpu=cpu, mem=mem, arrival=arrival,
-                priority=priority, deadline=deadline_for(arrival, duration, priority))
+                priority=priority, deadline=arrival + DEADLINE_FACTORS[priority] * duration)
 
 
 class TestRandom:

@@ -32,7 +32,7 @@ from marlsched.simenv import (
     init_episode,
     total_energy,
 )
-from marlsched.workload import Task, deadline_for, generate_workload
+from marlsched.workload import DEADLINE_FACTORS, Task, generate_workload
 
 
 def node(nid, cpu=4.0, mem=64.0, p_idle=100.0, p_dyn=200.0, tier="Medium"):
@@ -42,7 +42,7 @@ def node(nid, cpu=4.0, mem=64.0, p_idle=100.0, p_dyn=200.0, tier="Medium"):
 
 def task(tid, duration, cpu=1.0, mem=1.0, arrival=0.0, priority=1):
     return Task(id=tid, duration=duration, cpu=cpu, mem=mem, arrival=arrival,
-                priority=priority, deadline=deadline_for(arrival, duration, priority))
+                priority=priority, deadline=arrival + DEADLINE_FACTORS[priority] * duration)
 
 
 def node_spec(state, i):

@@ -9,20 +9,18 @@ from marlsched.workload import (
     CPU_SIGMA,
     DEADLINE_FACTORS,
     DEFAULT_ARRIVAL_RATE,
-    DEFAULT_PRIORITY_MIX,
     DURATION_ALPHA,
     DURATION_TMIN,
     MEM_MU,
     MEM_SIGMA,
+    PRIORITY_MIX,
     Task,
-    deadline_for,
     generate_workload,
 )
 from test_rng import sample_categorical, sample_exponential, sample_lognormal, sample_pareto
 
 
-def reference_workload(s, count, arrival_rate=DEFAULT_ARRIVAL_RATE,
-                       priority_mix=DEFAULT_PRIORITY_MIX):
+def reference_workload(s, count, arrival_rate=DEFAULT_ARRIVAL_RATE):
     """One scalar sampler call per value, in the generator's draw order."""
     tasks, now = [], 0.0
     for i in range(count):
@@ -30,9 +28,9 @@ def reference_workload(s, count, arrival_rate=DEFAULT_ARRIVAL_RATE,
         duration = sample_pareto(s, DURATION_ALPHA, DURATION_TMIN)
         cpu = sample_lognormal(s, CPU_MU, CPU_SIGMA)
         mem = sample_lognormal(s, MEM_MU, MEM_SIGMA)
-        priority = sample_categorical(s, priority_mix)
+        priority = sample_categorical(s, PRIORITY_MIX)
         tasks.append(Task(i, duration, cpu, mem, now, priority,
-                          deadline_for(now, duration, priority)))
+                          now + DEADLINE_FACTORS[priority] * duration))
     return tasks
 
 
@@ -55,17 +53,11 @@ def big_workload():
 
 
 class TestDeadline:
-    def test_multipliers(self):
-        assert deadline_for(0.0, 10.0, 0) == 15.0
-        assert deadline_for(0.0, 10.0, 1) == 30.0
-        assert deadline_for(0.0, 10.0, 2) == 50.0
-        assert deadline_for(100.0, 4.0, 1) == 112.0
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            deadline_for(0.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            deadline_for(0.0, 10.0, 3)
+    def test_multipliers(self, big_workload):
+        assert DEADLINE_FACTORS == (1.5, 3.0, 5.0)
+        assert {t.priority for t in big_workload} == {0, 1, 2}
+        for t in big_workload:
+            assert t.deadline == t.arrival + DEADLINE_FACTORS[t.priority] * t.duration
 
 
 class TestGeneration:
@@ -121,13 +113,10 @@ class TestReferenceEquivalence:
         got = generate_workload(derive_stream(seed, "wl"), 5000)
         assert got == reference_workload(derive_stream(seed, "wl"), 5000)
 
-    @pytest.mark.parametrize("arrival_rate, priority_mix", [
-        (13.7, (0.1, 0.2, 0.7)),
-        (3, (1, 0, 0)),
-    ])
-    def test_non_default_rate_and_mix(self, arrival_rate, priority_mix):
-        got = generate_workload(derive_stream(5, "wl"), 3000, arrival_rate, priority_mix)
-        assert got == reference_workload(derive_stream(5, "wl"), 3000, arrival_rate, priority_mix)
+    @pytest.mark.parametrize("arrival_rate", [13.7, 3])
+    def test_non_default_rate(self, arrival_rate):
+        got = generate_workload(derive_stream(5, "wl"), 3000, arrival_rate)
+        assert got == reference_workload(derive_stream(5, "wl"), 3000, arrival_rate)
         assert all(type(t.priority) is int and type(t.cpu) is float for t in got)
 
     @pytest.mark.parametrize("seed", [42, 7])
@@ -144,14 +133,6 @@ class TestReferenceEquivalence:
         assert {tuple(map(type, t)) for t in got} == {(int, float, float, float, float, int, float)}
         assert [got_s.uniform() for _ in range(3)] == [want_s.uniform() for _ in range(3)]
         assert extra_words(start, got_s._gen.bit_generator.state, 5 * count + 3) > 0
-
-    @pytest.mark.parametrize("priority_mix", [(0.3, 0.3), (1.2, -0.2, 0.0)])
-    def test_bad_priority_mix_errors_unchanged(self, priority_mix):
-        with pytest.raises(ValueError) as want:
-            reference_workload(derive_stream(0, "x"), 5, priority_mix=priority_mix)
-        with pytest.raises(ValueError) as got:
-            generate_workload(derive_stream(0, "x"), 5, priority_mix=priority_mix)
-        assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("arrival_rate", [0.0, -1.0])
     def test_bad_arrival_rate_rejected(self, arrival_rate):
