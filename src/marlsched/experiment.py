@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -203,7 +204,10 @@ def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
 
 
 def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
-    with open(path, "w", newline="") as f:
+    """Write to a sibling ``.tmp`` file, then replace ``path`` with it, so a
+    write that fails midway leaves the previous file whole."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(EPISODE_CSV_COLUMNS)
         for r in results:
@@ -214,6 +218,7 @@ def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
                 f"{m.energy_kwh:.6f}", f"{m.sla_rate:.6f}", f"{m.throughput:.6f}",
                 m.completed, f"{m.mean_step_util_variance:.8f}", f"{m.objective_j:.8f}",
             ])
+    os.replace(tmp, path)
 
 
 def read_episode_csv(path) -> list[dict]:

@@ -11,7 +11,6 @@ agent's replay keeps its transitions as array rows.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -253,37 +252,33 @@ class ReplayBuffer:
         self.capacity = capacity
         self.rows: Experience | None = None
         self.priorities = np.zeros(0)
-        self._size = 0
-        self._next = 0
+        self._added = 0   # rows ever added; the k-th went to slot k % capacity
 
     def __len__(self):
-        return self._size
+        return min(self._added, self.capacity)
 
     def add(self, row: Experience, delta: float) -> None:
         """Store one transition with priority |delta| + ``PER_EPSILON``."""
-        if self._size == self.capacity:
-            slot = self._next
-            self._next = (slot + 1) % self.capacity
-        else:
-            slot = self._size
-            if slot == len(self.priorities):   # full: double, the first row sets the shapes
-                n = min(2 * slot or 1, self.capacity)
-                columns = self.rows or [np.zeros((0,) + np.shape(v), np.asarray(v).dtype) for v in row]
-                grown = [np.concatenate([c, np.zeros((n - len(c),) + c.shape[1:], c.dtype)])
-                         for c in (*columns, self.priorities)]
-                self.rows, self.priorities = Experience(*grown[:-1]), grown[-1]
-            self._size += 1
+        slot = self._added % self.capacity
+        if slot == len(self.priorities):   # full: double, the first row sets the shapes
+            n = min(2 * slot or 1, self.capacity)
+            columns = self.rows or [np.zeros((0,) + np.shape(v), np.asarray(v).dtype) for v in row]
+            grown = [np.concatenate([c, np.zeros((n - len(c),) + c.shape[1:], c.dtype)])
+                     for c in (*columns, self.priorities)]
+            self.rows, self.priorities = Experience(*grown[:-1]), grown[-1]
         for column, value in zip(self.rows, row):
             column[slot] = value
         self.priorities[slot] = abs(delta) + PER_EPSILON
+        self._added += 1
 
     def sample(self, batch_size: int, s: RngStream) -> Experience:
-        if not self._size:
+        size = len(self)
+        if not size:
             raise RuntimeError("cannot sample from an empty replay buffer")
-        weights = self.priorities[: self._size] ** PER_EXPONENT
+        weights = self.priorities[:size] ** PER_EXPONENT
         cum = np.cumsum(weights / weights.sum())
         draws = s.uniform_array(batch_size)
-        idx = np.minimum(np.searchsorted(cum, draws, side="right"), self._size - 1)
+        idx = np.minimum(np.searchsorted(cum, draws, side="right"), size - 1)
         return Experience(*(column[idx] for column in self.rows))
 
 
@@ -392,8 +387,6 @@ class DrlScheduler(Scheduler):
             self.h, OBS_DIM, n_nodes,
         )
         self.buffers = [ReplayBuffer(self.h.replay_capacity) for _ in range(n_nodes)]
-        # ids of agents whose replay holds a batch, ascending; a buffer never shrinks
-        self.trainable: list[int] = []
         self.explore_epsilon = EXPLORE_EPSILON_START
         self.reset(None)
 
@@ -406,10 +399,12 @@ class DrlScheduler(Scheduler):
         self._reward = 0.0
 
     def _train_eligible(self):
-        for i in self.trainable:
-            batch = self.buffers[i].sample(self.h.batch_size, self._stream)
-            apply_update(self.agents, i, batch, self.h.gamma, self.h.grad_clip_norm,
-                         self.h.lr_decay)
+        """One update per agent whose replay holds a batch, in id order."""
+        for i, buf in enumerate(self.buffers):
+            if len(buf) >= self.h.batch_size:
+                batch = buf.sample(self.h.batch_size, self._stream)
+                apply_update(self.agents, i, batch, self.h.gamma, self.h.grad_clip_norm,
+                             self.h.lr_decay)
 
     def _store_placed(self, next_obs: np.ndarray, alive: float) -> None:
         """Store the staged placements in their agents' replay, then clear them."""
@@ -417,11 +412,7 @@ class DrlScheduler(Scheduler):
         rows = Experience(self._placed_obs, next_obs, ids, np.full(n, self._reward), np.full(n, alive))
         deltas = td_error(self.agents, ids, rows, self.h.gamma)
         for k in range(n):
-            buf = self.buffers[ids[k]]
-            had_batch = len(buf) >= self.h.batch_size
-            buf.add(Experience(*(column[k] for column in rows)), deltas[k])
-            if not had_batch and len(buf) >= self.h.batch_size:
-                insort(self.trainable, int(ids[k]))
+            self.buffers[ids[k]].add(Experience(*(column[k] for column in rows)), deltas[k])
         self._placed, self._placed_obs = ids[:0], self._placed_obs[:0]
 
     def assign(self, state, pending):

@@ -23,7 +23,6 @@ class EpisodeMetrics:
     mean_step_util_variance: float
     objective_j: float
     makespan: float
-    total_tasks: int
 
 
 def max_energy_kwh(state: SimState, horizon: float) -> float:
@@ -78,7 +77,6 @@ def summarize_episode(state: SimState) -> EpisodeMetrics:
         mean_step_util_variance=util_var,
         objective_j=j,
         makespan=makespan,
-        total_tasks=total,
     )
 
 

@@ -49,9 +49,9 @@ def _axes(x0, y0, x1, y1, xlabel, ylabel, title):
     ]
 
 
-def _scale(values, lo_px, hi_px, vmin=None, vmax=None):
+def _scale(values, lo_px, hi_px, vmin=None):
     vmin = min(values) if vmin is None else vmin
-    vmax = max(values) if vmax is None else vmax
+    vmax = max(values)
     if vmax == vmin:
         vmax = vmin + 1.0
     span = vmax - vmin

@@ -92,20 +92,11 @@ class SimState:
     steps: int = 0
     _arrival_order: list[int] = field(default_factory=list)
     _next_arrival_idx: int = 0
-    # observation columns 3-6, which depend only on the specs
-    static_obs: np.ndarray = field(init=False)
     # load of admitted tasks per node: cores and GB in use
     cpu_in_use: np.ndarray = field(init=False)
     mem_in_use: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        specs = self.specs
-        self.static_obs = np.stack([
-            specs.cpu_capacity / MAX_CPU_CAPACITY,
-            specs.mem_capacity / MAX_MEM_CAPACITY,
-            specs.p_idle / MAX_P_IDLE,
-            specs.p_dyn / MAX_P_DYN,
-        ], axis=1)
         self.cpu_in_use = np.zeros(len(self.nodes))
         self.mem_in_use = np.zeros(len(self.nodes))
 
@@ -113,15 +104,9 @@ class SimState:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
-    def queued_or_running(self) -> int:
-        return sum(len(n.queue) + len(n.running) for n in self.nodes)
-
     def all_resolved(self) -> bool:
-        return (
-            self._next_arrival_idx == len(self._arrival_order)
-            and not self.pending
-            and self.queued_or_running() == 0
-        )
+        # a task leaves the episode only by completing or by a deadline drop
+        return len(self.completions) + len(self.dropped) == len(self.tasks)
 
     def mean_util_variance(self) -> float:
         return self.util_variance_sum / self.steps if self.steps else 0.0
@@ -174,8 +159,6 @@ def _try_admit(state: SimState, node_id: int, now: float) -> None:
 
 def enqueue_assignment(state: SimState, task_id: int, node_id: int) -> None:
     """Realize a scheduling decision: queue the task, admitting it now if it fits."""
-    if task_id not in state.tasks:
-        raise ValueError(f"unknown task {task_id}")
     if task_id not in state.pending:
         raise ValueError(f"task {task_id} is not pending")
     task = state.tasks[task_id]
@@ -207,43 +190,41 @@ def advance(state: SimState, dt: float) -> StepReport:
 
     (1) complete, (2) admit queued FIFO, (3) reveal arrivals, (4) drop expired
     pending tasks, (5) accrue energy on post-admission load, (6) tick time.
+    Nodes share no state, so (1) and (2) run node by node in one pass.
     """
     if dt != state.config.dt:
         raise ValueError("dt must equal config.dt")
     new_time = state.time + dt
 
-    # 1. completions, each node's in (finish_time, task_id) order
     completions = []
     for i, node in enumerate(state.nodes):
+        # 1. completions, each node's in (finish_time, task_id) order
         running = node.running
-        if not running or running[0][0] > new_time:
-            continue
-        done = bisect_right(running, (new_time, inf))
-        cpu, mem = state.cpu_in_use.item(i), state.mem_in_use.item(i)
-        for finish_time, task_id in running[:done]:
-            task = state.tasks[task_id]
-            cpu -= task.cpu
-            mem -= task.mem
-            completions.append(
-                CompletionRecord(
-                    task_id=task_id,
-                    arrival=task.arrival,
-                    finish_time=finish_time,
-                    completion_time=finish_time - task.arrival,
-                    met_sla=finish_time <= task.deadline,
-                    priority=task.priority,
-                    node_id=i,
+        if running and running[0][0] <= new_time:
+            done = bisect_right(running, (new_time, inf))
+            cpu, mem = state.cpu_in_use.item(i), state.mem_in_use.item(i)
+            for finish_time, task_id in running[:done]:
+                task = state.tasks[task_id]
+                cpu -= task.cpu
+                mem -= task.mem
+                completions.append(
+                    CompletionRecord(
+                        task_id=task_id,
+                        arrival=task.arrival,
+                        finish_time=finish_time,
+                        completion_time=finish_time - task.arrival,
+                        met_sla=finish_time <= task.deadline,
+                        priority=task.priority,
+                        node_id=i,
+                    )
                 )
-            )
-        del running[:done]
-        # guard against float drift when a node fully empties (a node whose
-        # list was already empty has exactly zero in use)
-        if not running:
-            cpu = mem = 0.0
-        state.cpu_in_use[i], state.mem_in_use[i] = cpu, mem
-
-    # 2. admission (queued tasks start at the step boundary)
-    for i, node in enumerate(state.nodes):
+            del running[:done]
+            # guard against float drift when a node fully empties (a node whose
+            # list was already empty has exactly zero in use)
+            if not running:
+                cpu = mem = 0.0
+            state.cpu_in_use[i], state.mem_in_use[i] = cpu, mem
+        # 2. admission (queued tasks start at the step boundary)
         if node.queue:
             _try_admit(state, i, new_time)
 
@@ -292,11 +273,15 @@ def build_observation(state: SimState) -> np.ndarray:
     """
     n = state.n_nodes
     obs = np.zeros((n, OBS_DIM))
+    specs = state.specs
     util = state.utilization()
     obs[:, 0] = util
-    obs[:, 1] = state.mem_in_use / state.specs.mem_capacity
+    obs[:, 1] = state.mem_in_use / specs.mem_capacity
     obs[:, 2] = np.minimum([len(node.queue) for node in state.nodes], 50) / 50.0
-    obs[:, 3:7] = state.static_obs
+    obs[:, 3] = specs.cpu_capacity / MAX_CPU_CAPACITY
+    obs[:, 4] = specs.mem_capacity / MAX_MEM_CAPACITY
+    obs[:, 5] = specs.p_idle / MAX_P_IDLE
+    obs[:, 6] = specs.p_dyn / MAX_P_DYN
 
     # Ring offsets -1, +1, -2, +2, ...; on small rings they repeat or wrap
     # onto the node itself, so keep the first of each and drop offset 0.

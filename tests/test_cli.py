@@ -1,5 +1,6 @@
 """Config parsing, CLI commands, persistence determinism and plot emission."""
 
+import errno
 import json
 import operator
 import os
@@ -220,6 +221,45 @@ class TestRunScheduler:
         assert [row["episode"] for row in read_episode_csv(crashed)] == ["0", "1"]
         assert crashed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
 
+    def test_failed_rewrite_keeps_finished_episodes(self, tmp_path, monkeypatch):
+        """The third CSV rewrite fails after its header, as on a full disk; the
+        file still holds the two episodes written before."""
+        def config(out):
+            return ExperimentConfig(n_nodes=6, n_tasks=20, episodes=4, final_window=1,
+                                    output_dir=str(tmp_path / out))
+
+        class FullDisk:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                if not text.startswith(EPISODE_CSV_COLUMNS[0]):
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(text)
+
+        writes = []
+
+        def open_filling_disk(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            if "w" not in mode:
+                return f
+            writes.append(file)
+            return FullDisk(f) if len(writes) == 3 else f
+
+        run_scheduler(config("full"), "random")
+        monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            run_scheduler(config("failed"), "random")
+        failed = tmp_path / "failed" / "random.csv"
+        full = (tmp_path / "full" / "random.csv").read_bytes()
+        assert failed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
+
     @pytest.mark.parametrize("name", ["minmin", "drl"])
     def test_trace_records_match_episode_csv(self, tmp_path, name):
         cfg = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1,
@@ -429,7 +469,7 @@ def fake_results(name, atcts):
     """Episode results whose only varying metric is the given ATCT sequence."""
     return [EpisodeResult(ep, name, EpisodeMetrics(
         atct=atct, energy_kwh=1.0, sla_rate=1.0, throughput=1.0, completed=int(atct is not None),
-        mean_step_util_variance=0.0, objective_j=0.0, makespan=1.0, total_tasks=1), 0.0)
+        mean_step_util_variance=0.0, objective_j=0.0, makespan=1.0), 0.0)
         for ep, atct in enumerate(atcts)]
 
 

@@ -606,18 +606,36 @@ class TestDrlScheduler:
         assert sched.explore_epsilon == pytest.approx(eps0 * 0.995)
 
     @pytest.mark.parametrize("batch_size, capacity", [(10, 10_000), (10, 10), (8, 3)])
-    def test_trainable_ids_are_the_buffers_holding_a_batch(self, batch_size, capacity):
-        """A capacity equal to the batch size keeps a full buffer at the batch size
-        on every later add; one below it never holds a batch."""
+    def test_trainable_ids_are_the_buffers_holding_a_batch(self, batch_size, capacity, monkeypatch):
+        """Each assign updates, in ascending id order, exactly the agents whose
+        replay held a batch when the call began. A capacity equal to the batch
+        size keeps a full buffer at the batch size on every later add; one
+        below it never holds a batch, so nothing trains."""
+        from marlsched import marl
         from marlsched.experiment import ExperimentConfig, run_episode
 
         cfg = ExperimentConfig(master_seed=3, n_nodes=6, n_tasks=60, episodes=2, final_window=1,
                                sim=SimConfig(max_time=120.0),
                                hyper=Hyperparams(batch_size=batch_size, replay_capacity=capacity))
         sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
+        updated, ever_updated = [], set()
+        apply_update = marl.apply_update
+        monkeypatch.setattr(marl, "apply_update",
+                            lambda agents, i, *args: (updated.append(i), apply_update(agents, i, *args)))
+        assign = sched.assign
+
+        def checked_assign(state, pending):
+            expected = [i for i, b in enumerate(sched.buffers) if len(b) >= batch_size]
+            updated.clear()
+            decisions = assign(state, pending)
+            assert updated == expected
+            ever_updated.update(updated)
+            return decisions
+
+        sched.assign = checked_assign
         for episode in range(2):
             run_episode(sched, cfg, episode)
-            assert sched.trainable == [i for i, b in enumerate(sched.buffers) if len(b) >= batch_size]
+        assert bool(ever_updated) == (capacity >= batch_size)
 
     def test_stored_rows_are_the_placements(self):
         """Each agent's replay holds its placements in order: the observation

@@ -31,7 +31,7 @@ class TestEpisodeMetrics:
         m = summarize_episode(state)
         assert m.atct == 30.0
         assert m.sla_rate == 1.0
-        assert m.completed == 1 and m.total_tasks == 1
+        assert m.completed == 1
         assert m.makespan == 30.0
         assert m.throughput == pytest.approx(1 / (30.0 / 1000.0))
 

@@ -182,6 +182,19 @@ class TestAdvance:
         assert state.nodes[1].energy_joules == 1000.0
         assert state.all_resolved()
 
+    def test_last_task_resolved_by_a_deadline_drop(self):
+        """A task too big for any node stays pending until its deadline drop,
+        which resolves the episode."""
+        ts = [task(0, 10.0), task(1, 10.0, cpu=8.0)]
+        state = init_episode(SimConfig(), ts, [node(0)])
+        assert feasible_nodes(state, ts[1]) == []
+        enqueue_assignment(state, 0, 0)
+        while not state.dropped:
+            assert not state.all_resolved()
+            advance(state, 5.0)
+        assert [c.task_id for c in state.completions] == [0] and state.dropped == [1]
+        assert state.all_resolved()
+
     def test_idle_node_energy_per_step(self):
         state = init_episode(SimConfig(), [], [node(0)])
         _, e = advance_energy(state)
@@ -228,7 +241,7 @@ class TestAdvance:
             advance(state, 5.0)
             accounted = (
                 len(state.completions) + len(state.dropped) + len(state.pending)
-                + state.queued_or_running()
+                + sum(len(n.queue) + len(n.running) for n in state.nodes)
                 + (len(tasks) - state._next_arrival_idx)
             )
             assert accounted == len(tasks)
