@@ -145,14 +145,13 @@ def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
     decision_count = 0
     dt = config.sim.dt
     while True:
-        pending = [state.tasks[tid] for tid in state.pending]
+        pending = list(state.pending.values())
         t0 = time.perf_counter()
         decisions = scheduler.assign(state, pending)
         decision_seconds += time.perf_counter() - t0
-        decision_count += len(decisions)
-        for d in decisions:
-            if d.node_id is not None:
-                enqueue_assignment(state, d.task_id, d.node_id)
+        # one decision per pending task, placed or left pending
+        decision_count += len(pending)
+        enqueue_assignment(state, decisions)
         report = advance(state, dt)
         if trace_file is not None:
             trace_file.write(json.dumps({

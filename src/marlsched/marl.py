@@ -12,7 +12,7 @@ agent's replay keeps its transitions as array rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -150,35 +150,39 @@ def assignment_score(
 def select_assignments(
     state: SimState,
     pending: Sequence[Task],
-    self_probs: np.ndarray,
+    self_probs: Callable[[], np.ndarray],
     s: RngStream,
     h: Hyperparams,
     explore_epsilon: float,
 ) -> list[SchedulerDecision]:
-    """Place pending tasks in descending urgency order.
+    """Place pending tasks in descending urgency order; a task with no
+    feasible node gets no decision and stays pending.
 
-    ``self_probs[i]`` is agent i's policy probability at its own node index.
-    Every node is scored at once and the best feasible one wins, ties to the
-    lowest id. Capacity bookkeeping for nodes chosen earlier in the call
-    shifts later scores; with ``explore_epsilon == 0`` no randomness is
-    consumed.
+    ``self_probs()`` gives agent i's policy probability at its own node index
+    at [i]; it is called once, when the first task is placed greedily, so a
+    call that only explores never computes it. Every node is scored at once
+    and the best feasible one wins, ties to the lowest id. Capacity
+    bookkeeping for nodes chosen earlier in the call shifts later scores;
+    with ``explore_epsilon == 0`` no randomness is consumed.
     """
     order = sorted(pending, key=lambda t: (-priority_score(t, state.time), t.id))
     cpu_capacity, mem_capacity = state.specs.cpu_capacity, state.specs.mem_capacity
     util = state.utilization()
     mem_frac = state.mem_in_use / mem_capacity
     masked = np.empty(state.n_nodes)
+    probs = None
     decisions = []
     for task in order:
         feas = feasible_nodes(state, task)
         if not feas:
-            decisions.append(SchedulerDecision(task.id, None))
             continue
         if explore_epsilon > 0.0 and s.uniform() < explore_epsilon:
             u = s.uniform()
             chosen = feas[min(int(u * len(feas)), len(feas) - 1)]
         else:
-            scores = assignment_score(self_probs, util, mem_frac, task, cpu_capacity, h)
+            if probs is None:
+                probs = self_probs()
+            scores = assignment_score(probs, util, mem_frac, task, cpu_capacity, h)
             masked.fill(-np.inf)
             masked[feas] = scores[feas]
             chosen = int(masked.argmax())   # the first maximum, as a strict-> scan picks
@@ -400,9 +404,13 @@ class DrlScheduler(Scheduler):
 
     def _train_eligible(self):
         """One update per agent whose replay holds a batch, in id order."""
+        batch_size = self.h.batch_size
+        if self.h.replay_capacity < batch_size:
+            return   # no replay ever holds a batch
         for i, buf in enumerate(self.buffers):
-            if len(buf) >= self.h.batch_size:
-                batch = buf.sample(self.h.batch_size, self._stream)
+            # the replay's length is min(_added, capacity), and capacity >= batch_size
+            if buf._added >= batch_size:
+                batch = buf.sample(batch_size, self._stream)
                 apply_update(self.agents, i, batch, self.h.gamma, self.h.grad_clip_norm,
                              self.h.lr_decay)
 
@@ -425,11 +433,13 @@ class DrlScheduler(Scheduler):
             self._store_placed(observations[self._placed], 1.0)
         if not pending:
             return []
-        policy, _, _ = forward(self.agents, observations)
-        self_probs = policy.diagonal()
+        # forward draws no randomness, so select_assignments may skip it
+        # when no task is placed greedily
         eps = self.explore_epsilon if self.train else 0.0
-        decisions = select_assignments(state, pending, self_probs, self._stream, self.h, eps)
-        self._placed = np.array([d.node_id for d in decisions if d.node_id is not None], dtype=int)
+        decisions = select_assignments(state, pending,
+                                       lambda: forward(self.agents, observations)[0].diagonal(),
+                                       self._stream, self.h, eps)
+        self._placed = np.array([d.node_id for d in decisions], dtype=int)
         self._placed_obs = observations[self._placed]
         return decisions
 

@@ -1,7 +1,7 @@
 """Baseline schedulers behind the common per-step scheduler interface.
 
 A scheduler is called once per simulation step with the arrived-but-unassigned
-tasks and returns one decision per task; ``node_id=None`` means the task is
+tasks and returns one decision per task it places; a task with no decision is
 left pending this step.
 """
 
@@ -20,7 +20,7 @@ from .workload import Task
 
 class SchedulerDecision(NamedTuple):
     task_id: int
-    node_id: int | None  # None = leave pending this step
+    node_id: int
 
 
 class Scheduler:
@@ -32,6 +32,8 @@ class Scheduler:
         """Called at episode start; baselines are stateless across episodes."""
 
     def assign(self, state: SimState, pending: Sequence[Task]) -> list[SchedulerDecision]:
+        """Placements for this step, in the order the engine applies them; a
+        pending task without one stays pending."""
         raise NotImplementedError
 
     def after_advance(self, state: SimState, report) -> None:
@@ -57,7 +59,6 @@ class RandomScheduler(Scheduler):
         for task in pending:
             feas = feasible_nodes(state, task)
             if not feas:
-                decisions.append(SchedulerDecision(task.id, None))
                 continue
             u = self._stream.uniform()
             decisions.append(SchedulerDecision(task.id, feas[min(int(u * len(feas)), len(feas) - 1)]))
@@ -86,7 +87,6 @@ class WeightedRoundRobinScheduler(Scheduler):
         for task in pending:
             feas = feasible_nodes(state, task)
             if not feas:
-                decisions.append(SchedulerDecision(task.id, None))
                 continue
             w = weight[feas]
             credits[feas] += w
@@ -103,26 +103,38 @@ class PriorityMinMinScheduler(Scheduler):
     name = "minmin"
 
     def assign(self, state, pending):
-        order = sorted(pending, key=attrgetter("priority", "arrival", "id"))
+        if not pending:
+            return []
+        # (priority, arrival, id) order in two stable passes
+        order = sorted(pending, key=attrgetter("arrival", "id"))
+        order.sort(key=attrgetter("priority"))
         # hypothetical load including assignments made earlier in this call
         cpu_used, mem_used = state.cpu_in_use.tolist(), state.mem_in_use.tolist()
         cpu_cap, mem_cap = state.specs.cpu_capacity.tolist(), state.specs.mem_capacity.tolist()
+        # A node without room for the call's smallest cpu and smallest mem fits
+        # no task of the call: usage only grows within a call and float addition
+        # is monotone. Such nodes are dropped, at the start and after placements.
+        min_cpu, min_mem = min(t.cpu for t in pending), min(t.mem for t in pending)
         # (utilization, id) ascending: the first node that fits is the least
         # utilized one, ties to the lowest id
-        nodes = sorted(zip(state.utilization().tolist(), range(state.n_nodes)))
+        nodes = sorted(
+            (u, n) for u, n in zip(state.utilization().tolist(), range(state.n_nodes))
+            if cpu_used[n] + min_cpu <= cpu_cap[n] and mem_used[n] + min_mem <= mem_cap[n])
         # Sizes that fit no node, kept Pareto-minimal: cpu ascending, mem
-        # descending. Usage only grows within a call and float addition is
-        # monotone, so a task at least as large in both fits no node either.
+        # descending. A task at least as large in both fits no node either.
         failed_cpu, failed_mem = [], []
-        chosen = []
+        decisions = []
         for t in order:
+            if not nodes:
+                break
             c, m = t.cpu, t.mem
             k = bisect_right(failed_cpu, c)
             if k and failed_mem[k - 1] <= m:
-                chosen.append(None)
                 continue
+            # memory first: under load, a task that fits no node finds memory
+            # room on only a few, so most of its scan stops at that test
             for pos, (_, n) in enumerate(nodes):
-                if cpu_used[n] + c <= cpu_cap[n] and mem_used[n] + m <= mem_cap[n]:
+                if mem_used[n] + m <= mem_cap[n] and cpu_used[n] + c <= cpu_cap[n]:
                     break
             else:
                 # drop the failed sizes this one dominates, then insert it
@@ -130,14 +142,14 @@ class PriorityMinMinScheduler(Scheduler):
                 while hi < len(failed_mem) and failed_mem[hi] >= m:
                     hi += 1
                 failed_cpu[lo:hi], failed_mem[lo:hi] = [c], [m]
-                chosen.append(None)
                 continue
             del nodes[pos]
             cpu_used[n] += c
             mem_used[n] += m
-            insort(nodes, (cpu_used[n] / cpu_cap[n], n))
-            chosen.append(n)
-        return list(map(SchedulerDecision, map(attrgetter("id"), order), chosen))
+            if cpu_used[n] + min_cpu <= cpu_cap[n] and mem_used[n] + min_mem <= mem_cap[n]:
+                insort(nodes, (cpu_used[n] / cpu_cap[n], n))
+            decisions.append(SchedulerDecision(t.id, n))
+        return decisions
 
 
 BASELINES = {

@@ -11,7 +11,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import islice
 from math import inf
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,9 +83,9 @@ class SimState:
     # the node specs as one population (``stack_specs``), indexed by node id
     specs: NodeSpec
     time: float = 0.0
-    # arrived, unassigned task ids in arrival order; a dict (values None) so
-    # that membership and removal are O(1) and iteration keeps arrival order
-    pending: dict[int, None] = field(default_factory=dict)
+    # arrived, unassigned tasks by id in arrival order; a dict, so that
+    # membership and removal are O(1) and iteration keeps arrival order
+    pending: dict[int, Task] = field(default_factory=dict)
     completions: list[CompletionRecord] = field(default_factory=list)
     dropped: list[int] = field(default_factory=list)
     util_variance_sum: float = 0.0
@@ -146,29 +146,41 @@ def _try_admit(state: SimState, node_id: int, now: float) -> None:
     queue, specs = node.queue, state.specs
     cpu_cap, mem_cap = specs.cpu_capacity.item(node_id), specs.mem_capacity.item(node_id)
     cpu, mem = state.cpu_in_use.item(node_id), state.mem_in_use.item(node_id)
-    while queue:
-        task = state.tasks[queue[0]]
+    admitted = 0
+    for tid in queue:
+        task = state.tasks[tid]
         if cpu + task.cpu > cpu_cap or mem + task.mem > mem_cap:
             break
-        queue.pop(0)
-        insort(node.running, (now + task.duration, task.id))
+        insort(node.running, (now + task.duration, tid))
         cpu += task.cpu
         mem += task.mem
+        admitted += 1
+    del queue[:admitted]
     state.cpu_in_use[node_id], state.mem_in_use[node_id] = cpu, mem
 
 
-def enqueue_assignment(state: SimState, task_id: int, node_id: int) -> None:
-    """Realize a scheduling decision: queue the task, admitting it now if it fits."""
-    if task_id not in state.pending:
-        raise ValueError(f"task {task_id} is not pending")
-    task = state.tasks[task_id]
-    queue = state.nodes[node_id].queue
-    specs = state.specs
-    if task.cpu > specs.cpu_capacity.item(node_id) or task.mem > specs.mem_capacity.item(node_id):
-        raise ValueError(f"node {node_id} is statically infeasible for task {task_id}")
-    del state.pending[task_id]
-    queue.append(task_id)
-    _try_admit(state, node_id, state.time)
+def enqueue_assignment(state: SimState, decisions: Iterable[tuple[int, int]]) -> None:
+    """Realize one step's scheduling decisions, ``(task_id, node_id)`` pairs:
+    queue each task in order, then admit what fits, FIFO, on each node that
+    received one. Usage only grows here, so a queue head that is blocked stays
+    blocked and admitting once per node equals admitting after every enqueue.
+    A decision that fails is raised after the ones before it are applied."""
+    pending, nodes = state.pending, state.nodes
+    cpu_cap, mem_cap = state.specs.cpu_capacity.tolist(), state.specs.mem_capacity.tolist()
+    touched = set()
+    try:
+        for task_id, node_id in decisions:
+            task = pending.get(task_id)
+            if task is None:
+                raise ValueError(f"task {task_id} is not pending")
+            if task.cpu > cpu_cap[node_id] or task.mem > mem_cap[node_id]:
+                raise ValueError(f"node {node_id} is statically infeasible for task {task_id}")
+            del pending[task_id]
+            nodes[node_id].queue.append(task_id)
+            touched.add(node_id)
+    finally:
+        for node_id in touched:
+            _try_admit(state, node_id, state.time)
 
 
 def _reveal_arrivals(state: SimState, now: float) -> list[int]:
@@ -176,8 +188,9 @@ def _reveal_arrivals(state: SimState, now: float) -> list[int]:
     order = state._arrival_order
     while state._next_arrival_idx < len(order):
         tid = order[state._next_arrival_idx]
-        if state.tasks[tid].arrival <= now:
-            state.pending[tid] = None
+        task = state.tasks[tid]
+        if task.arrival <= now:
+            state.pending[tid] = task
             arrived.append(tid)
             state._next_arrival_idx += 1
         else:
@@ -207,17 +220,10 @@ def advance(state: SimState, dt: float) -> StepReport:
                 task = state.tasks[task_id]
                 cpu -= task.cpu
                 mem -= task.mem
-                completions.append(
-                    CompletionRecord(
-                        task_id=task_id,
-                        arrival=task.arrival,
-                        finish_time=finish_time,
-                        completion_time=finish_time - task.arrival,
-                        met_sla=finish_time <= task.deadline,
-                        priority=task.priority,
-                        node_id=i,
-                    )
-                )
+                # positional: a NamedTuple built by keyword costs twice as much
+                completions.append(CompletionRecord(
+                    task_id, task.arrival, finish_time, finish_time - task.arrival,
+                    finish_time <= task.deadline, task.priority, i))
             del running[:done]
             # guard against float drift when a node fully empties (a node whose
             # list was already empty has exactly zero in use)
@@ -232,7 +238,7 @@ def advance(state: SimState, dt: float) -> StepReport:
     arrived = _reveal_arrivals(state, new_time)
 
     # 4. deadline drops for never-assigned tasks
-    dropped = [tid for tid in state.pending if state.tasks[tid].deadline < new_time]
+    dropped = [tid for tid, t in state.pending.items() if t.deadline < new_time]
     for tid in dropped:
         del state.pending[tid]
     state.dropped.extend(dropped)
@@ -297,8 +303,7 @@ def build_observation(state: SimState) -> np.ndarray:
 
     now = state.time
     window = []
-    for tid in islice(state.pending, QUEUE_WINDOW):
-        t = state.tasks[tid]
+    for t in islice(state.pending.values(), QUEUE_WINDOW):
         window += [
             t.cpu / MAX_CPU_CAPACITY,
             t.mem / MAX_MEM_CAPACITY,

@@ -198,8 +198,8 @@ def test_p4_scheduler_oracles():
     state = init_episode(SimConfig(),
                          [_task(0, 10.0, cpu=2.0), _task(1, 7.0, cpu=3.0)],
                          [_spec(0), _spec(1, p_idle=50.0)])
-    enqueue_assignment(state, 0, 0)
-    enqueue_assignment(state, 1, 0)
+    enqueue_assignment(state, [(0, 0)])
+    enqueue_assignment(state, [(1, 0)])
     finishes = {}
     for _ in range(4):
         for c in advance(state, 5.0).completions:
@@ -217,8 +217,8 @@ def test_p4_scheduler_oracles():
     s2 = init_episode(SimConfig(),
                       [_task(0, 100.0, cpu=2.0), _task(1, 100.0, cpu=1.0), _task(2, 10.0)],
                       [_spec(0), _spec(1)])
-    enqueue_assignment(s2, 0, 0)
-    enqueue_assignment(s2, 1, 1)
+    enqueue_assignment(s2, [(0, 0)])
+    enqueue_assignment(s2, [(1, 1)])
     least = mm.assign(s2, [s2.tasks[2]])[0].node_id
     checks.append(("min-min least-loaded selection (tie -> node 0, loaded -> node 1)",
                    tie == 0 and least == 1))
@@ -288,10 +288,7 @@ def _run_micro_episode(scheduler, tasks, nodes):
     state = init_episode(SimConfig(), tasks, nodes)
     scheduler.reset(state, derive_stream(42, f"acceptance-p6-{scheduler.name}"))
     while not state.all_resolved():
-        pending = [state.tasks[tid] for tid in state.pending]
-        for d in scheduler.assign(state, pending):
-            if d.node_id is not None:
-                enqueue_assignment(state, d.task_id, d.node_id)
+        enqueue_assignment(state, scheduler.assign(state, list(state.pending.values())))
         advance(state, state.config.dt)
     return state
 

@@ -191,24 +191,23 @@ class TestSelection:
         state = init_episode(SimConfig(), ts, [node(0), node(1)])
         probs = np.zeros(2)
         decisions = select_assignments(state, [state.tasks[0], state.tasks[1]],
-                                       probs, None, H, 0.0)
+                                       lambda: probs, None, H, 0.0)
         assert decisions[0].task_id == 1    # Production scored first
 
     def test_no_feasible_node_rejects_only_that_task(self):
         ts = [task(0, cpu=99.0), task(1, cpu=1.0)]
         state = init_episode(SimConfig(), ts, [node(0)])
         decisions = select_assignments(state, [state.tasks[0], state.tasks[1]],
-                                       np.zeros(1), None, H, 0.0)
-        by_id = {d.task_id: d for d in decisions}
-        assert by_id[0].node_id is None and by_id[1].node_id == 0
+                                       lambda: np.zeros(1), None, H, 0.0)
+        assert decisions == [(1, 0)]
 
     def test_greedy_is_deterministic_without_exploration(self):
         ts = [task(i, cpu=1.0) for i in range(4)]
         state = init_episode(SimConfig(), ts, [node(i) for i in range(3)])
         pending = [state.tasks[i] for i in range(4)]
         probs = np.array([0.2, 0.5, 0.3])
-        a = select_assignments(state, pending, probs, None, H, 0.0)
-        b = select_assignments(state, pending, probs, None, H, 0.0)
+        a = select_assignments(state, pending, lambda: probs, None, H, 0.0)
+        b = select_assignments(state, pending, lambda: probs, None, H, 0.0)
         assert a == b
 
     def test_in_call_bookkeeping_shifts_later_choices(self):
@@ -216,8 +215,28 @@ class TestSelection:
         ts = [task(0, cpu=2.0), task(1, cpu=2.0)]
         state = init_episode(SimConfig(), ts, [node(0), node(1)])
         decisions = select_assignments(state, [state.tasks[0], state.tasks[1]],
-                                       np.zeros(2), None, H, 0.0)
+                                       lambda: np.zeros(2), None, H, 0.0)
         assert {d.node_id for d in decisions} == {0, 1}
+
+    def test_policy_computed_once_and_only_for_a_greedy_placement(self):
+        """The self-probabilities are asked for once, at the first greedy
+        placement; a call that places nothing greedily never asks."""
+        ts = [task(0, cpu=99.0), task(1, cpu=1.0), task(2, cpu=1.0)]
+        state = init_episode(SimConfig(), ts, [node(0), node(1)])
+        pending = [state.tasks[i] for i in range(3)]
+        calls = []
+
+        def probs():
+            calls.append(None)
+            return np.zeros(2)
+
+        assert len(select_assignments(state, pending, probs, None, H, 0.0)) == 2
+        assert len(calls) == 1
+        calls.clear()
+        # epsilon 1: every feasible task explores
+        assert len(select_assignments(state, pending, probs, derive_stream(0, "e"), H, 1.0)) == 2
+        assert select_assignments(state, pending[:1], probs, None, H, 0.0) == []
+        assert calls == []
 
 
 class TestReward:
@@ -652,7 +671,7 @@ class TestDrlScheduler:
         def recording(state, pending):
             calls.append(build_observation(state))
             decisions = assign(state, pending)
-            placements.extend((len(calls) - 1, d.node_id) for d in decisions if d.node_id is not None)
+            placements.extend((len(calls) - 1, d.node_id) for d in decisions)
             return decisions
 
         sched.assign = recording
@@ -675,7 +694,7 @@ class TestDrlScheduler:
 
 def reference_select(state, pending, self_probs, s, h, explore_epsilon):
     """The per-node scoring loop ``select_assignments`` ran before it scored
-    every node at once: (task, node) pairs."""
+    every node at once: (task, node) pairs, node None for a task left pending."""
     def score(p, util, mem_frac, task, cpu_capacity):
         compat = min(max(1.0 - abs(task.cpu / cpu_capacity - 0.5), 0.0), 1.0)
         return (h.w_pi * p + W_LOAD * (1.0 - util) + W_MEM * (1.0 - mem_frac)
@@ -705,6 +724,11 @@ def reference_select(state, pending, self_probs, s, h, explore_epsilon):
         mem_frac[chosen] += task.mem / mem_cap[chosen]
         decisions.append((task.id, chosen))
     return decisions
+
+
+def placed(decisions):
+    """The placements of a reference's (task, node) pairs, in order."""
+    return [(t, n) for t, n in decisions if n is not None]
 
 
 class TestSelectionOracle:
@@ -737,15 +761,15 @@ class TestSelectionOracle:
     def test_random_states(self, seed, eps):
         state, pending, probs = self.random_case(seed)
         s, s_ref = derive_stream(seed, "explore"), derive_stream(seed, "explore")
-        got = select_assignments(state, pending, probs, s, H, eps)
-        assert [(d.task_id, d.node_id) for d in got] == reference_select(
-            state, pending, probs, s_ref, H, eps)
+        got = select_assignments(state, pending, lambda: probs, s, H, eps)
+        assert [(d.task_id, d.node_id) for d in got] == placed(reference_select(
+            state, pending, probs, s_ref, H, eps))
         assert s.uniform() == s_ref.uniform()     # the stream ends at the same position
 
     def test_equal_spec_idle_nodes_tie_to_lowest_id(self):
         state = init_episode(SimConfig(), [], [node(i) for i in range(5)])
         pending = [task(i, cpu=1.0) for i in range(3)]
-        got = select_assignments(state, pending, np.zeros(5), None, H, 0.0)
+        got = select_assignments(state, pending, lambda: np.zeros(5), None, H, 0.0)
         assert [d.node_id for d in got] == [0, 1, 2]
 
     def test_loaded_cluster_matches_reference(self):
@@ -761,6 +785,7 @@ class TestSelectionOracle:
                    for i in range(200)]
         for eps in (0.0, 0.3):
             s, s_ref = derive_stream(3, "explore"), derive_stream(3, "explore")
-            got = [(d.task_id, d.node_id) for d in select_assignments(state, pending, probs, s, H, eps)]
-            assert got == reference_select(state, pending, probs, s_ref, H, eps)
+            got = [(d.task_id, d.node_id)
+                   for d in select_assignments(state, pending, lambda: probs, s, H, eps)]
+            assert got == placed(reference_select(state, pending, probs, s_ref, H, eps))
             assert s.uniform() == s_ref.uniform()

@@ -25,7 +25,7 @@ class TestEpisodeMetrics:
     def test_single_completed_task(self):
         t = Task(id=0, duration=30.0, cpu=1.0, mem=1.0, arrival=0.0, priority=1, deadline=45.0)
         state = init_episode(SimConfig(), [t], [node(0)])
-        enqueue_assignment(state, 0, 0)
+        enqueue_assignment(state, [(0, 0)])
         while not state.all_resolved():
             advance(state, 5.0)
         m = summarize_episode(state)

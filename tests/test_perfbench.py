@@ -41,9 +41,7 @@ def test_finished_episode_passes_the_benchmark_invariants(perfbench_module):
     sched.reset(state, derive_stream(cfg.master_seed, "sched-random-0"))
     step_energy_j = 0.0
     while not state.all_resolved():
-        for d in sched.assign(state, [state.tasks[tid] for tid in state.pending]):
-            if d.node_id is not None:
-                enqueue_assignment(state, d.task_id, d.node_id)
+        enqueue_assignment(state, sched.assign(state, list(state.pending.values())))
         step_energy_j += advance(state, cfg.sim.dt).energy_joules
     assert state.completions
     assert run.episode_problem(state, summarize_episode(state), step_energy_j, cfg.n_tasks) is None

@@ -37,8 +37,7 @@ class TestRandom:
         state = init_episode(SimConfig(), [], [node(0, cpu=1.0)])
         sched = RandomScheduler()
         sched.reset(state, derive_stream(0, "r"))
-        decisions = sched.assign(state, [task(0, cpu=2.0)])
-        assert decisions[0].node_id is None
+        assert sched.assign(state, [task(0, cpu=2.0)]) == []
 
     def test_uniformity_over_100_nodes(self):
         state = init_episode(SimConfig(), [], [node(i) for i in range(100)])
@@ -70,7 +69,7 @@ class TestWeightedRoundRobin:
         state = init_episode(SimConfig(), [], [node(0, cpu=1.0)])
         sched = WeightedRoundRobinScheduler()
         sched.reset(state)
-        assert sched.assign(state, [task(0, cpu=2.0)])[0].node_id is None
+        assert sched.assign(state, [task(0, cpu=2.0)]) == []
 
     def test_capacity_proportional_shares(self):
         nodes = generate_cluster(derive_stream(42, "cl"), 100)
@@ -87,7 +86,8 @@ class TestWeightedRoundRobin:
 
 def wrr_oracle(nodes, credits, pending):
     """The per-node credit loop wrr ran before its credits were an array:
-    (task, node) pairs, updating the list ``credits`` in place."""
+    (task, node) pairs, node None for a task left pending, updating the list
+    ``credits`` in place."""
     decisions = []
     for t in pending:
         feas = [n.id for n in nodes if t.cpu <= n.cpu_capacity and t.mem <= n.mem_capacity]
@@ -117,7 +117,7 @@ class TestWeightedRoundRobinOracle:
         credits, decisions = [0.0] * len(nodes), []
         for pending in batches:
             got = [(d.task_id, d.node_id) for d in sched.assign(state, pending)]
-            assert got == wrr_oracle(nodes, credits, pending)
+            assert got == placed(wrr_oracle(nodes, credits, pending))
             assert sched._credits.tolist() == credits
             decisions += got
         return decisions
@@ -161,25 +161,24 @@ class TestPriorityMinMin:
     def test_least_loaded_wins(self):
         ts = [task(0, duration=100.0, cpu=2.0), task(1, duration=100.0, cpu=1.0), task(2, cpu=1.0)]
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0), node(1, cpu=4.0)])
-        enqueue_assignment(state, 0, 0)   # node 0 at u=0.5
-        enqueue_assignment(state, 1, 1)   # node 1 at u=0.25
+        enqueue_assignment(state, [(0, 0)])   # node 0 at u=0.5
+        enqueue_assignment(state, [(1, 1)])   # node 1 at u=0.25
         sched = PriorityMinMinScheduler()
         assert sched.assign(state, [state.tasks[2]])[0].node_id == 1
 
     def test_saturated_cluster_rejects(self):
         ts = [task(0, duration=100.0, cpu=4.0), task(1, cpu=2.0)]
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
-        enqueue_assignment(state, 0, 0)
+        enqueue_assignment(state, [(0, 0)])
         sched = PriorityMinMinScheduler()
-        assert sched.assign(state, [state.tasks[1]])[0].node_id is None
+        assert sched.assign(state, [state.tasks[1]]) == []
 
     def test_production_tasks_placed_first(self):
         ts = [task(0, cpu=3.0, priority=2), task(1, cpu=3.0, priority=0)]
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
         sched = PriorityMinMinScheduler()
-        decisions = {d.task_id: d for d in sched.assign(state, [state.tasks[0], state.tasks[1]])}
-        assert decisions[1].node_id == 0      # Production task gets the slot
-        assert decisions[0].node_id is None  # Best-effort cannot start now
+        # the Production task gets the slot; Best-effort cannot start now
+        assert sched.assign(state, [state.tasks[0], state.tasks[1]]) == [(1, 0)]
 
     def test_in_call_bookkeeping(self):
         """Assignments earlier in a call count toward load for later tasks."""
@@ -191,7 +190,8 @@ class TestPriorityMinMin:
 
 
 def minmin_oracle(state, pending):
-    """The per-node scan min-min ran before it was array-shaped: (task, node) pairs."""
+    """The per-node scan min-min ran before it was array-shaped: (task, node)
+    pairs, node None for a task left pending."""
     order = sorted(pending, key=lambda t: (t.priority, t.arrival, t.id))
     cpu_cap, mem_cap = state.specs.cpu_capacity.tolist(), state.specs.mem_capacity.tolist()
     cpu_used = {nid: state.cpu_in_use[nid] for nid in range(state.n_nodes)}
@@ -214,6 +214,11 @@ def minmin_oracle(state, pending):
     return decisions
 
 
+def placed(decisions):
+    """The placements of an oracle's (task, node) pairs, in order."""
+    return [(t, n) for t, n in decisions if n is not None]
+
+
 def rounding_boundary(holds):
     """(used, size, cap) where ``used + size <= cap`` is ``holds`` and
     ``size <= cap - used`` is not: the two fit tests disagree in the last bit."""
@@ -231,7 +236,7 @@ class TestPriorityMinMinOracle:
 
     def decide(self, state, pending):
         got = [(d.task_id, d.node_id) for d in PriorityMinMinScheduler().assign(state, pending)]
-        assert got == minmin_oracle(state, pending)
+        assert got == placed(minmin_oracle(state, pending))
         return got
 
     @pytest.mark.parametrize("holds", [True, False])
@@ -242,7 +247,7 @@ class TestPriorityMinMinOracle:
         state = init_episode(SimConfig(), [], [node(0, **spec)])
         getattr(state, f"{dim}_in_use")[0] = used
         sizes = {"cpu": 0.5, "mem": 0.5, dim: size}
-        assert self.decide(state, [task(0, **sizes)]) == [(0, 0 if holds else None)]
+        assert self.decide(state, [task(0, **sizes)]) == ([(0, 0)] if holds else [])
 
     def test_task_smaller_in_one_dimension_is_still_placed(self):
         """Tasks 0 and 1 fit nowhere; each later task is larger than one of them
@@ -252,8 +257,25 @@ class TestPriorityMinMinOracle:
                    task(2, cpu=2.0, mem=1.0), task(3, cpu=4.0, mem=2.0),
                    task(4, cpu=6.0, mem=0.5), task(5, cpu=0.5, mem=9.0),
                    task(6, cpu=7.0, mem=1.0, priority=2), task(7, cpu=1.0, mem=2.0, priority=2)]
-        assert dict(self.decide(state, pending)) == {0: None, 1: None, 2: 0, 3: 1, 4: None, 5: None,
-                                                     6: None, 7: 0}
+        assert dict(self.decide(state, pending)) == {2: 0, 3: 1, 7: 0}
+
+    def test_node_with_room_for_exactly_the_smallest_task_keeps_it(self):
+        """Free room equal to the call's smallest cpu and mem, at the start of
+        the call or after a placement, still takes that task."""
+        state = init_episode(SimConfig(), [], [node(0, cpu=4.0, mem=8.0)])
+        state.cpu_in_use[0], state.mem_in_use[0] = 3.0, 7.0
+        assert self.decide(state, [task(0, cpu=1.0, mem=1.0)]) == [(0, 0)]
+        state.cpu_in_use[0], state.mem_in_use[0] = 0.0, 0.0
+        pending = [task(0, cpu=3.0, mem=7.0, priority=0), task(1, cpu=1.0, mem=1.0)]
+        assert self.decide(state, pending) == [(0, 0), (1, 0)]
+
+    def test_node_with_cpu_but_no_mem_for_the_smallest_task_is_skipped(self):
+        """Node 0 is the least utilized and has cores for every task, but less
+        free memory than the smallest task needs: everything goes to node 1."""
+        state = init_episode(SimConfig(), [], [node(0, cpu=8.0, mem=4.0), node(1, cpu=8.0)])
+        state.mem_in_use[0], state.cpu_in_use[1] = 3.5, 4.0
+        pending = [task(0, cpu=1.0, mem=1.0), task(1, cpu=1.0, mem=2.0)]
+        assert self.decide(state, pending) == [(0, 1), (1, 1)]
 
     def test_equal_utilization_after_reinsertion_ties_to_lower_id(self):
         state = init_episode(SimConfig(), [], [node(0, cpu=8.0), node(1, cpu=4.0)])
@@ -267,7 +289,7 @@ class TestPriorityMinMinOracle:
         pending = [task(5, cpu=3.0, arrival=3.0), task(9, cpu=3.0, arrival=1.0),
                    task(2, cpu=0.5, arrival=2.0), task(7, cpu=0.5, arrival=1.0),
                    task(4, cpu=0.5, arrival=1.0), task(1, cpu=2.0, arrival=0.0, priority=2)]
-        assert self.decide(state, pending) == [(4, 0), (7, 0), (9, 0), (2, None), (5, None), (1, None)]
+        assert self.decide(state, pending) == [(4, 0), (7, 0), (9, 0)]
 
     def random_case(self, seed):
         rng = np.random.default_rng(seed)
@@ -293,7 +315,7 @@ class TestPriorityMinMinOracle:
     def test_random_states(self, seed):
         state, pending = self.random_case(seed)
         got = [(d.task_id, d.node_id) for d in PriorityMinMinScheduler().assign(state, pending)]
-        assert got == minmin_oracle(state, pending)
+        assert got == placed(minmin_oracle(state, pending))
 
     def test_empty_pending(self):
         state = init_episode(SimConfig(), [], [node(0), node(1)])
@@ -311,5 +333,5 @@ class TestPriorityMinMinOracle:
                    for i in range(600)]
         got = [(d.task_id, d.node_id) for d in PriorityMinMinScheduler().assign(state, pending)]
         want = minmin_oracle(state, pending)
-        assert got == want
+        assert got == placed(want)
         assert any(nid is None for _, nid in want) and any(nid is not None for _, nid in want)

@@ -111,7 +111,7 @@ class TestFeasibility:
 class TestAssignment:
     def test_idle_node_starts_immediately(self):
         state = init_episode(SimConfig(), [task(0, 10.0, cpu=2.0)], [node(0)])
-        enqueue_assignment(state, 0, 0)
+        enqueue_assignment(state, [(0, 0)])
         nd = state.nodes[0]
         assert not nd.queue and len(nd.running) == 1
         assert nd.running == [(10.0, 0)]   # (finish_time, task_id): started at 0
@@ -120,29 +120,29 @@ class TestAssignment:
     def test_busy_node_queues(self):
         ts = [task(0, 10.0, cpu=3.0), task(1, 10.0, cpu=3.0)]
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
-        enqueue_assignment(state, 0, 0)
-        enqueue_assignment(state, 1, 0)
+        enqueue_assignment(state, [(0, 0)])
+        enqueue_assignment(state, [(1, 0)])
         nd = state.nodes[0]
         assert len(nd.running) == 1 and nd.queue == [1]
 
     def test_static_infeasibility_rejected(self):
         state = init_episode(SimConfig(), [task(0, 10.0, mem=100.0)], [node(0, mem=64.0)])
         with pytest.raises(ValueError):
-            enqueue_assignment(state, 0, 0)
+            enqueue_assignment(state, [(0, 0)])
 
     def test_unknown_or_nonpending_task_rejected(self):
         state = init_episode(SimConfig(), [task(0, 10.0)], [node(0)])
         with pytest.raises(ValueError):
-            enqueue_assignment(state, 99, 0)
-        enqueue_assignment(state, 0, 0)
+            enqueue_assignment(state, [(99, 0)])
+        enqueue_assignment(state, [(0, 0)])
         with pytest.raises(ValueError):
-            enqueue_assignment(state, 0, 0)
+            enqueue_assignment(state, [(0, 0)])
 
 
 class TestAdvance:
     def test_single_task_trace(self):
         state = init_episode(SimConfig(), [task(0, 10.0, cpu=2.0)], [node(0)])
-        enqueue_assignment(state, 0, 0)
+        enqueue_assignment(state, [(0, 0)])
         r1 = advance(state, 5.0)
         assert r1.completions == []
         r2 = advance(state, 5.0)
@@ -161,8 +161,8 @@ class TestAdvance:
         ts = [task(0, 10.0, cpu=2.0), task(1, 7.0, cpu=3.0)]
         nodes = [node(0, cpu=4.0), node(1, cpu=4.0, p_idle=50.0)]
         state = init_episode(SimConfig(), ts, nodes)
-        enqueue_assignment(state, 0, 0)
-        enqueue_assignment(state, 1, 0)
+        enqueue_assignment(state, [(0, 0)])
+        enqueue_assignment(state, [(1, 0)])
 
         r1, e1 = advance_energy(state)     # [0,5]: t0 running (U=2), t1 queued
         assert e1[0] == 1000.0
@@ -188,7 +188,7 @@ class TestAdvance:
         ts = [task(0, 10.0), task(1, 10.0, cpu=8.0)]
         state = init_episode(SimConfig(), ts, [node(0)])
         assert feasible_nodes(state, ts[1]) == []
-        enqueue_assignment(state, 0, 0)
+        enqueue_assignment(state, [(0, 0)])
         while not state.dropped:
             assert not state.all_resolved()
             advance(state, 5.0)
@@ -235,9 +235,7 @@ class TestAdvance:
         sched = RandomScheduler()
         sched.reset(state, derive_stream(3, "sched"))
         while state.time < state.config.max_time and not state.all_resolved():
-            for d in sched.assign(state, [state.tasks[tid] for tid in state.pending]):
-                if d.node_id is not None:
-                    enqueue_assignment(state, d.task_id, d.node_id)
+            enqueue_assignment(state, sched.assign(state, list(state.pending.values())))
             advance(state, 5.0)
             accounted = (
                 len(state.completions) + len(state.dropped) + len(state.pending)
@@ -257,7 +255,7 @@ class TestAdvance:
             for tid in list(state.pending)[::3]:
                 t = state.tasks[tid]
                 if t.cpu <= 2.0 and t.mem <= 8.0:
-                    enqueue_assignment(state, tid, 0)
+                    enqueue_assignment(state, [(tid, 0)])
                     expected.remove(tid)
                     placed += 1
             report = advance(state, 5.0)
@@ -287,10 +285,10 @@ class TestEnergy:
             nodes = generate_cluster(derive_stream(9, "cl"), 5)
             state = init_episode(SimConfig(), tasks, nodes)
             for tid in list(state.pending):
-                enqueue_assignment(state, tid, feasible_nodes(state, state.tasks[tid])[0])
+                enqueue_assignment(state, [(tid, feasible_nodes(state, state.tasks[tid])[0])])
             while not state.all_resolved() and state.time < 10_000.0:
                 for tid in list(state.pending):
-                    enqueue_assignment(state, tid, feasible_nodes(state, state.tasks[tid])[0])
+                    enqueue_assignment(state, [(tid, feasible_nodes(state, state.tasks[tid])[0])])
                 advance(state, 5.0)
             return total_energy(state)
 
@@ -322,9 +320,9 @@ class TestObservation:
         ts = [task(i, 50.0, cpu=2.0) for i in range(3)]
         state = init_episode(SimConfig(), ts, nodes)
         # nodes 1, 2, 4, 5 are node 0's ring neighbors
-        enqueue_assignment(state, 0, 1)   # u=0.5
-        enqueue_assignment(state, 1, 2)   # u=0.5
-        enqueue_assignment(state, 2, 4)   # u=0.5
+        enqueue_assignment(state, [(0, 1)])   # u=0.5
+        enqueue_assignment(state, [(1, 2)])   # u=0.5
+        enqueue_assignment(state, [(2, 4)])   # u=0.5
         obs = build_observation(state)[0]
         assert obs[7] == pytest.approx(0.375)    # mean of (0.5, 0.5, 0.5, 0.0)
         assert obs[8] == 0.0
@@ -345,7 +343,7 @@ class TestObservation:
             for tid in list(state.pending)[:2]:
                 feas = feasible_nodes(state, state.tasks[tid])
                 if feas:
-                    enqueue_assignment(state, tid, feas[0])
+                    enqueue_assignment(state, [(tid, feas[0])])
             advance(state, 5.0)
             for obs in build_observation(state):
                 assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
@@ -354,7 +352,7 @@ class TestObservation:
         ts = [task(i, 100.0, cpu=4.0) for i in range(5)]
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
         for tid in range(5):
-            enqueue_assignment(state, tid, 0)
+            enqueue_assignment(state, [(tid, 0)])
         obs = build_observation(state)[0]
         assert obs[2] == pytest.approx(4 / 50.0)  # one running, four queued
 
@@ -408,7 +406,7 @@ def test_batched_observation_rows_match_reference(n):
         for tid in list(state.pending):
             feas = feasible_nodes(state, state.tasks[tid])
             if feas and rng.random() < 0.4:
-                enqueue_assignment(state, tid, feas[int(rng.integers(len(feas)))])
+                enqueue_assignment(state, [(tid, feas[int(rng.integers(len(feas)))])])
         observations = build_observation(state)
         assert observations.shape == (n, OBS_DIM)
         for i in range(n):
@@ -473,7 +471,7 @@ def reference_advance(state, dt):
     while (state._next_arrival_idx < len(state._arrival_order)
            and state.tasks[state._arrival_order[state._next_arrival_idx]].arrival <= new_time):
         arrived.append(state._arrival_order[state._next_arrival_idx])
-        state.pending[arrived[-1]] = None
+        state.pending[arrived[-1]] = state.tasks[arrived[-1]]
         state._next_arrival_idx += 1
     dropped = [tid for tid in state.pending if state.tasks[tid].deadline < new_time]
     for tid in dropped:
@@ -526,7 +524,7 @@ class TestAdvanceOracle:
                 feas = feasible_nodes(state, state.tasks[tid])
                 if feas and rng.random() < 0.6:
                     nid = feas[int(rng.integers(len(feas)))]
-                    enqueue_assignment(state, tid, nid)
+                    enqueue_assignment(state, [(tid, nid)])
                     reference_enqueue(ref, tid, nid)
             report = advance(state, 5.0)
             want = reference_advance(ref, 5.0)
@@ -554,11 +552,51 @@ class TestAdvanceOracle:
                 feas = feasible_nodes(state, state.tasks[tid])
                 if feas and rng.random() < 0.8:
                     nid = feas[int(rng.integers(len(feas)))]
-                    enqueue_assignment(state, tid, nid)
+                    enqueue_assignment(state, [(tid, nid)])
                     reference_enqueue(ref, tid, nid)
             assert advance(state, 5.0) == reference_advance(ref, 5.0)
             assert [n.energy_joules for n in state.nodes] == [n.energy_joules for n in ref.nodes]
         assert state.completions and np.count_nonzero(state.cpu_in_use) > 10
+
+    def test_batched_enqueue_equals_per_task_enqueues(self):
+        """One ``enqueue_assignment`` call per step equals the per-task reference
+        enqueues in its order: queues, running lists, load bits and pending
+        order, with blocked queue heads and several tasks per node."""
+        blocked = shared = 0
+        for seed in range(60):
+            rng, tasks, nodes = self.random_case(seed)
+            state = init_episode(SimConfig(), tasks, nodes)
+            ref = init_episode(SimConfig(), tasks, nodes)
+            while state.time < 300.0:
+                decisions = []
+                for tid in rng.permutation(list(state.pending)).tolist():
+                    feas = feasible_nodes(state, state.tasks[tid])
+                    if feas and rng.random() < 0.6:
+                        decisions.append((tid, feas[int(rng.integers(len(feas)))]))
+                targets = {nid for _, nid in decisions}
+                blocked += sum(bool(state.nodes[nid].queue) for nid in targets)
+                shared += len(decisions) - len(targets)
+                enqueue_assignment(state, decisions)
+                for tid, nid in decisions:
+                    reference_enqueue(ref, tid, nid)
+                assert list(state.pending) == list(ref.pending), seed
+                assert np.array_equal(state.cpu_in_use, ref.cpu_in_use), seed
+                assert np.array_equal(state.mem_in_use, ref.mem_in_use), seed
+                for got, exp in zip(state.nodes, ref.nodes):
+                    assert got.queue == exp.queue, seed
+                    assert got.running == sorted(exp.running), seed
+                assert advance(state, 5.0) == reference_advance(ref, 5.0), seed
+        assert blocked > 50 and shared > 50
+
+    def test_failed_decision_leaves_the_earlier_ones_applied(self):
+        """A decision that fails raises after the decisions before it are queued
+        and admitted, as per-task enqueues would leave them."""
+        ts = [task(0, 10.0, cpu=3.0), task(1, 10.0, cpu=3.0), task(2, 10.0, cpu=1.0)]
+        state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
+        with pytest.raises(ValueError, match="task 7 is not pending"):
+            enqueue_assignment(state, [(0, 0), (1, 0), (7, 0), (2, 0)])
+        assert state.nodes[0].running == [(10.0, 0)] and state.nodes[0].queue == [1]
+        assert list(state.pending) == [2] and state.cpu_in_use[0] == 3.0
 
     def test_equal_finish_times_complete_in_task_id_order(self):
         """Three tasks finishing at the same instant on one node, admitted in
@@ -566,12 +604,12 @@ class TestAdvanceOracle:
         ts = [task(0, 10.0, cpu=1.0), task(1, 5.0, cpu=1.0), task(3, 10.0, cpu=1.0),
               task(2, 5.0, cpu=1.0, arrival=5.0)]
         state = init_episode(SimConfig(), ts, [node(0, cpu=4.0)])
-        enqueue_assignment(state, 3, 0)    # 0-10
-        enqueue_assignment(state, 1, 0)    # 0-5
-        enqueue_assignment(state, 0, 0)    # 0-10
+        enqueue_assignment(state, [(3, 0)])    # 0-10
+        enqueue_assignment(state, [(1, 0)])    # 0-5
+        enqueue_assignment(state, [(0, 0)])    # 0-10
         assert [tid for _, tid in state.nodes[0].running] == [1, 0, 3]
         advance(state, 5.0)
-        enqueue_assignment(state, 2, 0)    # 5-10
+        enqueue_assignment(state, [(2, 0)])    # 5-10
         assert [tid for _, tid in state.nodes[0].running] == [0, 2, 3]
         report = advance(state, 5.0)
         assert [c.task_id for c in report.completions] == [0, 2, 3]
