@@ -11,10 +11,13 @@ agent's replay keeps its transitions as array rows.
 
 from __future__ import annotations
 
+import os
+import zipfile
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib import format as npy_format
 
 from .rng import RngStream, derive_stream
 from .schedulers import Scheduler, SchedulerDecision
@@ -358,20 +361,33 @@ def decay_explore(epsilon: float) -> float:
 
 
 def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
-    """The population's arrays, uncompressed, plus a shape/episode header."""
+    """The population's arrays, uncompressed, plus a shape/episode header.
+
+    Writes the file ``np.savez`` would (``.npz`` appended when missing; one
+    zip64 ``<name>.npy`` member per array), but member by member straight from
+    each array's buffer: ``np.savez`` copies a whole array per member first,
+    and ``W2`` alone is n_nodes² × hidden floats. The zip goes to a sibling
+    ``.tmp`` file that then replaces ``path``, so a write that fails midway
+    leaves the previous checkpoint whole.
+    """
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
     _, hidden, obs_dim = agents.W1.shape
     n_actions = agents.W2.shape[1]
-    np.savez(
-        path,
-        header=np.array([obs_dim, hidden, n_actions, episode], dtype=np.int64),
-        lrs=agents.current_lr,
-        W1=agents.W1,
-        b1=agents.b1,
-        W2=agents.W2,
-        b2=agents.b2,
-        Wv=agents.Wv,
-        bv=agents.bv,
-    )
+    arrays = {
+        "header": np.array([obs_dim, hidden, n_actions, episode], dtype=np.int64),
+        "lrs": agents.current_lr,
+        "W1": agents.W1, "b1": agents.b1, "W2": agents.W2,
+        "b2": agents.b2, "Wv": agents.Wv, "bv": agents.bv,
+    }
+    tmp = f"{path}.tmp"
+    with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, a in arrays.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as f:
+                npy_format.write_array_header_1_0(f, npy_format.header_data_from_array_1_0(a))
+                f.write(memoryview(a).cast("B"))
+    os.replace(tmp, path)
 
 
 class DrlScheduler(Scheduler):

@@ -7,6 +7,7 @@ classes with a class-dependent deadline multiplier.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -45,11 +46,14 @@ def generate_workload(s: RngStream, count: int, arrival_rate: float = DEFAULT_AR
     that order (u u n n u), so the workload is a deterministic function of the
     stream. After the first two uniforms the stream is a run of ``n n u u u``
     blocks ending in ``n n u``, so the draws fill one array with two calls
-    per task; an array fill draws the same sequence as that many scalar
-    draws. The inverse-CDF transforms run on whole arrays, except the Pareto
-    power: it stays a Python float ``**``, because numpy's array ``power`` can
-    differ from it in the last bit. Arrival times are a sequential float sum
+    per task, through the row views of a (count - 1, 5) block array; an
+    array fill draws the same sequence as that many scalar draws. The
+    inverse-CDF transforms run on whole arrays, except the Pareto power: it
+    stays a Python float ``**``, because numpy's array ``power`` can differ
+    from it in the last bit. Arrival times are a sequential float sum
     of the gaps, and a deadline is arrival + class multiplier times duration.
+    The records are built by ``tuple.__new__``, which skips the Python-level
+    ``Task.__new__`` and makes the same tuples.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -59,9 +63,10 @@ def generate_workload(s: RngStream, count: int, arrival_rate: float = DEFAULT_AR
     draws = np.empty(5 * count)
     uniform, normal = s.uniform_array, s.normal_array
     uniform(out=draws[:2])
-    for k in range(2, 5 * count - 3, 5):
-        normal(out=draws[k:k + 2])
-        uniform(out=draws[k + 2:k + 5])
+    blocks = draws[2:-3].reshape(count - 1, 5)
+    for n_row, u_row in zip(blocks[:, :2], blocks[:, 2:]):
+        normal(out=n_row)
+        uniform(out=u_row)
     normal(out=draws[-3:-1])
     uniform(out=draws[-1:])
     u_gap, u_duration, z_cpu, z_mem, u_priority = draws.reshape(count, 5).T
@@ -73,5 +78,6 @@ def generate_workload(s: RngStream, count: int, arrival_rate: float = DEFAULT_AR
     priorities = np.minimum(np.searchsorted(PRIORITY_BINS, u_priority, side="right"),
                             len(PRIORITY_MIX) - 1)
     deadlines = arrivals + np.array(DEADLINE_FACTORS)[priorities] * durations
-    return list(map(Task, range(count), durations, cpus.tolist(), mems.tolist(),
-                    arrivals.tolist(), priorities.tolist(), deadlines.tolist()))
+    return list(map(partial(tuple.__new__, Task),
+                    zip(range(count), durations, cpus.tolist(), mems.tolist(),
+                        arrivals.tolist(), priorities.tolist(), deadlines.tolist())))

@@ -113,6 +113,15 @@ class TestReferenceEquivalence:
         got = generate_workload(derive_stream(seed, "wl"), 5000)
         assert got == reference_workload(derive_stream(seed, "wl"), 5000)
 
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_smallest_counts(self, count):
+        """One task has no ``n n u u u`` block and two have one."""
+        s, ref = derive_stream(9, "wl"), derive_stream(9, "wl")
+        got = generate_workload(s, count)
+        assert got == reference_workload(ref, count)
+        assert all(type(t) is Task for t in got)
+        assert s.uniform() == ref.uniform()
+
     @pytest.mark.parametrize("arrival_rate", [13.7, 3])
     def test_non_default_rate(self, arrival_rate):
         got = generate_workload(derive_stream(5, "wl"), 3000, arrival_rate)
@@ -130,6 +139,7 @@ class TestReferenceEquivalence:
         start = got_s._gen.bit_generator.state
         got = generate_workload(got_s, count, rate)
         assert got == reference_workload(want_s, count, rate)
+        assert {type(t) for t in got} == {Task}
         assert {tuple(map(type, t)) for t in got} == {(int, float, float, float, float, int, float)}
         assert [got_s.uniform() for _ in range(3)] == [want_s.uniform() for _ in range(3)]
         assert extra_words(start, got_s._gen.bit_generator.state, 5 * count + 3) > 0
