@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiment import ExperimentConfig, compare, run_scheduler
+from .experiment import ALL_SCHEDULERS, ExperimentConfig, compare, run_scheduler
 from .plots import emit_all
 
 
@@ -18,7 +18,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def selection(p):
         p.add_argument("--config", type=str, help="JSON config file (flat dotted keys)")
-        p.add_argument("--scheduler", type=str, help="scheduler name: random|wrr|minmin|drl")
+        p.add_argument("--scheduler", type=str, help=f"scheduler name: {'|'.join(ALL_SCHEDULERS)}")
         p.add_argument("--episodes", type=int)
 
     def common(p):

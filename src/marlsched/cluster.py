@@ -7,8 +7,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import RngStream
-
 HIGH, MEDIUM, LOW = "High", "Medium", "Low"
 
 
@@ -47,11 +45,11 @@ MAX_P_IDLE = 180.0
 MAX_P_DYN = 400.0
 
 
-def _uniform_in(s: RngStream, lo: float, hi: float) -> float:
-    return lo + (hi - lo) * s.uniform()
+def _uniform_in(s: np.random.Generator, lo: float, hi: float) -> float:
+    return lo + (hi - lo) * s.random()
 
 
-def generate_cluster(s: RngStream, n: int) -> list[NodeSpec]:
+def generate_cluster(s: np.random.Generator, n: int) -> list[NodeSpec]:
     """Draw ``n`` node specs: High nodes first, then Medium, then Low.
 
     Rounding remainders go to the Medium tier.  CPU capacities are integer
@@ -69,8 +67,7 @@ def generate_cluster(s: RngStream, n: int) -> list[NodeSpec]:
         for _ in range(count):
             # Integer core counts: uniform over the integers in range, inclusive.
             lo, hi = cfg.cpu_range
-            cpu = float(int(lo) + int(s.uniform() * (int(hi) - int(lo) + 1)))
-            cpu = min(cpu, float(int(hi)))
+            cpu = float(int(lo) + int(s.random() * (int(hi) - int(lo) + 1)))
             nodes.append(
                 NodeSpec(
                     id=len(nodes),

@@ -204,20 +204,24 @@ def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
 
 def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
     """Write to a sibling ``.tmp`` file, then replace ``path`` with it, so a
-    write that fails midway leaves the previous file whole."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(EPISODE_CSV_COLUMNS)
-        for r in results:
-            m = r.metrics
-            w.writerow([
-                r.episode, r.scheduler,
-                "" if m.atct is None else f"{m.atct:.6f}",
-                f"{m.energy_kwh:.6f}", f"{m.sla_rate:.6f}", f"{m.throughput:.6f}",
-                m.completed, f"{m.mean_step_util_variance:.8f}", f"{m.objective_j:.8f}",
-            ])
-    os.replace(tmp, path)
+    write that fails midway leaves the previous file whole and no ``.tmp``."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(EPISODE_CSV_COLUMNS)
+            for r in results:
+                m = r.metrics
+                w.writerow([
+                    r.episode, r.scheduler,
+                    "" if m.atct is None else f"{m.atct:.6f}",
+                    f"{m.energy_kwh:.6f}", f"{m.sla_rate:.6f}", f"{m.throughput:.6f}",
+                    m.completed, f"{m.mean_step_util_variance:.8f}", f"{m.objective_j:.8f}",
+                ])
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_episode_csv(path) -> list[dict]:

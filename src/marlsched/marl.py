@@ -14,12 +14,13 @@ from __future__ import annotations
 import os
 import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib import format as npy_format
 
-from .rng import RngStream, derive_stream
+from .rng import derive_stream
 from .schedulers import Scheduler, SchedulerDecision
 from .simenv import OBS_DIM, SimState, StepReport, build_observation, feasible_nodes
 from .workload import Task
@@ -69,7 +70,7 @@ def expected_param_count(obs_dim: int, hidden: int, n_actions: int) -> int:
     return obs_dim * hidden + hidden + hidden * n_actions + n_actions + hidden + 1
 
 
-def init_agents(streams: Sequence[RngStream], h: Hyperparams, obs_dim: int,
+def init_agents(streams: Sequence[np.random.Generator], h: Hyperparams, obs_dim: int,
                 n_actions: int) -> AgentParams:
     """A population with agent i drawn from ``streams[i]``: scaled-uniform
     weights (limit sqrt(2/fan_in)) drawn W1, W2, Wv in that order straight
@@ -86,7 +87,7 @@ def init_agents(streams: Sequence[RngStream], h: Hyperparams, obs_dim: int,
     )
     for s, W1, W2, Wv in zip(streams, agents.W1, agents.W2, agents.Wv):
         for w, fan_in in ((W1, obs_dim), (W2, h.hidden), (Wv, h.hidden)):
-            w[...] = s.uniform_array(w.size).reshape(w.shape)
+            w[...] = s.random(w.size).reshape(w.shape)
             w *= 2.0
             w -= 1.0
             w *= np.sqrt(2.0 / fan_in)
@@ -154,7 +155,7 @@ def select_assignments(
     state: SimState,
     pending: Sequence[Task],
     self_probs: Callable[[], np.ndarray],
-    s: RngStream,
+    s: np.random.Generator,
     h: Hyperparams,
     explore_epsilon: float,
 ) -> list[SchedulerDecision]:
@@ -179,8 +180,8 @@ def select_assignments(
         feas = feasible_nodes(state, task)
         if not feas:
             continue
-        if explore_epsilon > 0.0 and s.uniform() < explore_epsilon:
-            u = s.uniform()
+        if explore_epsilon > 0.0 and s.random() < explore_epsilon:
+            u = s.random()
             chosen = feas[min(int(u * len(feas)), len(feas) - 1)]
         else:
             if probs is None:
@@ -278,13 +279,13 @@ class ReplayBuffer:
         self.priorities[slot] = abs(delta) + PER_EPSILON
         self._added += 1
 
-    def sample(self, batch_size: int, s: RngStream) -> Experience:
+    def sample(self, batch_size: int, s: np.random.Generator) -> Experience:
         size = len(self)
         if not size:
             raise RuntimeError("cannot sample from an empty replay buffer")
         weights = self.priorities[:size] ** PER_EXPONENT
         cum = np.cumsum(weights / weights.sum())
-        draws = s.uniform_array(batch_size)
+        draws = s.random(batch_size)
         idx = np.minimum(np.searchsorted(cum, draws, side="right"), size - 1)
         return Experience(*(column[idx] for column in self.rows))
 
@@ -368,7 +369,7 @@ def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
     each array's buffer: ``np.savez`` copies a whole array per member first,
     and ``W2`` alone is n_nodes² × hidden floats. The zip goes to a sibling
     ``.tmp`` file that then replaces ``path``, so a write that fails midway
-    leaves the previous checkpoint whole.
+    leaves the previous checkpoint whole and no ``.tmp``.
     """
     path = os.fspath(path)
     if not path.endswith(".npz"):
@@ -381,13 +382,17 @@ def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
         "W1": agents.W1, "b1": agents.b1, "W2": agents.W2,
         "b2": agents.b2, "Wv": agents.Wv, "bv": agents.bv,
     }
-    tmp = f"{path}.tmp"
-    with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-        for name, a in arrays.items():
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as f:
-                npy_format.write_array_header_1_0(f, npy_format.header_data_from_array_1_0(a))
-                f.write(memoryview(a).cast("B"))
-    os.replace(tmp, path)
+    tmp = Path(f"{path}.tmp")
+    try:
+        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+            for name, a in arrays.items():
+                with zf.open(f"{name}.npy", "w", force_zip64=True) as f:
+                    npy_format.write_array_header_1_0(f, npy_format.header_data_from_array_1_0(a))
+                    f.write(memoryview(a).cast("B"))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class DrlScheduler(Scheduler):

@@ -85,8 +85,14 @@ def learning_curve_svg(results_dir, schedulers, out_path) -> None:
     Path(out_path).write_text(_svg(body))
 
 
+def _mean(values):
+    return sum(values) / len(values) if values else None
+
+
 def comparison_bars_svg(results_dir, schedulers, final_window, out_path) -> None:
-    """Four panels of final-window means: ATCT, energy, SLA rate, throughput."""
+    """Four panels of final-window means: ATCT, energy, SLA rate, throughput.
+    A mean over no values, such as the ATCT of a window that completed no
+    task, gets no bar and the label n/a."""
     panels = [
         ("atct_s", "ATCT (s)"),
         ("energy_kwh", "Energy (kWh)"),
@@ -99,28 +105,28 @@ def comparison_bars_svg(results_dir, schedulers, final_window, out_path) -> None
         if not path.exists():
             raise PlotInputError(f"missing results file: {path}")
         rows = read_episode_csv(path)[-final_window:]
-        data[name] = {
-            key: (sum(float(r[key]) for r in rows if r[key]) / max(1, sum(1 for r in rows if r[key])))
-            for key, _ in panels
-        }
+        data[name] = {key: _mean([float(r[key]) for r in rows if r[key]]) for key, _ in panels}
     body = []
     pw, ph = WIDTH / 2, HEIGHT / 2
     for pi, (key, label) in enumerate(panels):
         ox, oy = (pi % 2) * pw, (pi // 2) * ph
         x0, y0, x1, y1 = ox + 52, oy + 28, ox + pw - 14, oy + ph - 40
         vals = [data[n][key] for n in schedulers]
-        sy, _, vmax = _scale(vals, y1, y0, vmin=0)
+        sy, *_ = _scale([v for v in vals if v is not None] or [0.0], y1, y0, vmin=0)
         body += _axes(x0, y0, x1, y1, "", label, label)
         bw = (x1 - x0) / len(schedulers) * 0.6
         gap = (x1 - x0) / len(schedulers)
-        for i, name in enumerate(schedulers):
+        for i, (name, v) in enumerate(zip(schedulers, vals)):
             bx = x0 + gap * i + (gap - bw) / 2
-            top = sy(data[name][key])
-            body.append(f'<rect x="{bx:.1f}" y="{top:.1f}" width="{bw:.1f}" '
-                        f'height="{y1 - top:.1f}" fill="{COLORS.get(name, "#000")}"/>')
+            if v is None:   # no value in the window: no bar, as the CSV leaves the cell empty
+                top, text = y1, "n/a"
+            else:
+                top, text = sy(v), f"{v:.3g}"
+                body.append(f'<rect x="{bx:.1f}" y="{top:.1f}" width="{bw:.1f}" '
+                            f'height="{y1 - top:.1f}" fill="{COLORS.get(name, "#000")}"/>')
             body.append(f'<text x="{bx + bw / 2:.1f}" y="{y1 + 14}" text-anchor="middle">{name}</text>')
             body.append(f'<text x="{bx + bw / 2:.1f}" y="{top - 3:.1f}" text-anchor="middle" '
-                        f'font-size="9">{data[name][key]:.3g}</text>')
+                        f'font-size="9">{text}</text>')
     Path(out_path).write_text(_svg(body))
 
 

@@ -13,7 +13,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .rng import RngStream
 from .simenv import SimState, feasible_nodes
 from .workload import Task
 
@@ -28,7 +27,7 @@ class Scheduler:
 
     name = "base"
 
-    def reset(self, state: SimState, stream: RngStream | None = None) -> None:
+    def reset(self, state: SimState, stream: np.random.Generator | None = None) -> None:
         """Called at episode start; baselines are stateless across episodes."""
 
     def assign(self, state: SimState, pending: Sequence[Task]) -> list[SchedulerDecision]:
@@ -60,7 +59,7 @@ class RandomScheduler(Scheduler):
             feas = feasible_nodes(state, task)
             if not feas:
                 continue
-            u = self._stream.uniform()
+            u = self._stream.random()
             decisions.append(SchedulerDecision(task.id, feas[min(int(u * len(feas)), len(feas) - 1)]))
         return decisions
 

@@ -12,8 +12,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import RngStream, pareto_from_uniform
-
 # Distribution parameters of the workload model.
 DURATION_ALPHA = 1.5
 DURATION_TMIN = 5.0
@@ -25,6 +23,11 @@ PRIORITY_BINS = np.cumsum(PRIORITY_MIX)
 
 # Deadline multiplier per priority class.
 DEADLINE_FACTORS = (1.5, 3.0, 5.0)
+
+
+def pareto_from_uniform(u: float, alpha: float, t_min: float) -> float:
+    """Inverse CDF of Pareto(alpha, t_min) at ``u``."""
+    return t_min * (1.0 - u) ** (-1.0 / alpha)
 
 
 class Task(NamedTuple):
@@ -39,7 +42,7 @@ class Task(NamedTuple):
     deadline: float   # seconds
 
 
-def generate_workload(s: RngStream, count: int, arrival_rate: float = DEFAULT_ARRIVAL_RATE) -> list[Task]:
+def generate_workload(s: np.random.Generator, count: int, arrival_rate: float = DEFAULT_ARRIVAL_RATE) -> list[Task]:
     """Generate ``count`` tasks in arrival order, ids 0..count-1.
 
     Each task draws its inter-arrival gap, duration, cpu, mem and priority in
@@ -61,7 +64,7 @@ def generate_workload(s: RngStream, count: int, arrival_rate: float = DEFAULT_AR
         raise ValueError("arrival_rate must be positive")
 
     draws = np.empty(5 * count)
-    uniform, normal = s.uniform_array, s.normal_array
+    uniform, normal = s.random, s.standard_normal
     uniform(out=draws[:2])
     blocks = draws[2:-3].reshape(count - 1, 5)
     for n_row, u_row in zip(blocks[:, :2], blocks[:, 2:]):

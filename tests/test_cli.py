@@ -16,6 +16,7 @@ import marlsched
 from marlsched import experiment
 from marlsched.cli import main
 from marlsched.experiment import (
+    ALL_SCHEDULERS,
     EPISODE_CSV_COLUMNS,
     EpisodeResult,
     ExperimentConfig,
@@ -223,7 +224,8 @@ class TestRunScheduler:
 
     def test_failed_rewrite_keeps_finished_episodes(self, tmp_path, monkeypatch):
         """The third CSV rewrite fails after its header, as on a full disk; the
-        file still holds the two episodes written before."""
+        file still holds the two episodes written before, and no ``.tmp`` file
+        is left beside it."""
         def config(out):
             return ExperimentConfig(n_nodes=6, n_tasks=20, episodes=4, final_window=1,
                                     output_dir=str(tmp_path / out))
@@ -259,6 +261,7 @@ class TestRunScheduler:
         failed = tmp_path / "failed" / "random.csv"
         full = (tmp_path / "full" / "random.csv").read_bytes()
         assert failed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
+        assert sorted(p.name for p in failed.parent.iterdir()) == ["random.csv"]
 
     @pytest.mark.parametrize("name", ["minmin", "drl"])
     def test_trace_records_match_episode_csv(self, tmp_path, name):
@@ -307,6 +310,11 @@ class TestCliRun:
         rc = main(["run", "--scheduler", "sjf", "--out", str(tmp_path)])
         assert rc == 2
         assert "unknown scheduler" in capsys.readouterr().err
+
+    def test_scheduler_help_names_every_scheduler(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert f"scheduler name: {'|'.join(ALL_SCHEDULERS)}" in capsys.readouterr().out
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -463,6 +471,21 @@ class TestCliCompareNoCompletions:
             assert (f"drl vs {name:<8} skipped: no task completed in the final-window episodes "
                     f"of drl and {name}, so there is no ATCT for the Welch test or the "
                     f"improvement CI") in report
+
+    def test_bar_chart_marks_missing_atct(self, tmp_path):
+        """The same window: the ATCT panel draws no bar and labels each
+        scheduler n/a, not 0; the other three panels keep their bars."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"sim.max_time": 5, "n_nodes": 4, "n_tasks": 5}))
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--episodes", "2", "--out", str(out)]) == 0
+        main(["plot", str(out)])    # exits 1: the curves have no ATCT to draw
+        svg = (out / "comparison.svg").read_text()
+        atct_panel, other_panels = svg.split(">Energy (kWh)</text>", 1)
+        assert atct_panel.count('font-size="9">n/a</text>') == 4
+        assert '">0</text>' not in atct_panel
+        assert atct_panel.count("<rect ") == 1    # the background only
+        assert other_panels.count("<rect ") == 3 * 4
 
 
 def fake_results(name, atcts):

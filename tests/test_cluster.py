@@ -1,5 +1,6 @@
 """Tier composition, capacity ranges and the linear power model."""
 
+import numpy as np
 import pytest
 
 from marlsched.cluster import (
@@ -47,6 +48,16 @@ class TestGeneration:
             assert cfg.mem_range[0] <= n.mem_capacity <= cfg.mem_range[1]
             assert cfg.p_idle_range[0] <= n.p_idle <= cfg.p_idle_range[1]
             assert cfg.p_dyn_range[0] <= n.p_dyn <= cfg.p_dyn_range[1]
+
+    def test_largest_draw_gives_top_of_range(self):
+        """u just below 1 picks the top core count, not one past it: u * k < k
+        in floating point for every count k of integers in a tier's range."""
+        class LargestDraw:
+            def random(self):
+                return float(np.nextafter(1.0, 0.0))
+
+        for n in generate_cluster(LargestDraw(), 10):
+            assert n.cpu_capacity == DEFAULT_TIERS[n.tier].cpu_range[1]
 
     def test_determinism(self):
         a = generate_cluster(derive_stream(42, "cluster"), 20)

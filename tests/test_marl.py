@@ -89,7 +89,7 @@ class TestNetwork:
         W2, Wv, each scaled as (2u - 1) * sqrt(2 / fan_in)."""
         h = small_hyper()
         agent = init_agents([derive_stream(0, "a")], h, 6, 3)
-        u = derive_stream(0, "a").uniform_array(4 * 6 + 3 * 4 + 4)
+        u = derive_stream(0, "a").random(4 * 6 + 3 * 4 + 4)
         assert np.array_equal(agent.W1[0], (2.0 * u[:24].reshape(4, 6) - 1.0) * np.sqrt(2.0 / 6))
         assert np.array_equal(agent.W2[0], (2.0 * u[24:36].reshape(3, 4) - 1.0) * np.sqrt(2.0 / 4))
         assert np.array_equal(agent.Wv[0], (2.0 * u[36:] - 1.0) * np.sqrt(2.0 / 4))
@@ -620,6 +620,7 @@ class TestCheckpoint:
         with pytest.raises(OSError, match="disk full"):
             save_checkpoint(path, agents, episode=8)
         assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
 
 class TestDrlScheduler:
@@ -760,8 +761,8 @@ def reference_select(state, pending, self_probs, s, h, explore_epsilon):
         if not feas:
             decisions.append((task.id, None))
             continue
-        if explore_epsilon > 0.0 and s.uniform() < explore_epsilon:
-            u = s.uniform()
+        if explore_epsilon > 0.0 and s.random() < explore_epsilon:
+            u = s.random()
             chosen = feas[min(int(u * len(feas)), len(feas) - 1)]
         else:
             chosen, best = None, None
@@ -813,7 +814,7 @@ class TestSelectionOracle:
         got = select_assignments(state, pending, lambda: probs, s, H, eps)
         assert [(d.task_id, d.node_id) for d in got] == placed(reference_select(
             state, pending, probs, s_ref, H, eps))
-        assert s.uniform() == s_ref.uniform()     # the stream ends at the same position
+        assert s.random() == s_ref.random()     # the stream ends at the same position
 
     def test_equal_spec_idle_nodes_tie_to_lowest_id(self):
         state = init_episode(SimConfig(), [], [node(i) for i in range(5)])
@@ -837,4 +838,4 @@ class TestSelectionOracle:
             got = [(d.task_id, d.node_id)
                    for d in select_assignments(state, pending, lambda: probs, s, H, eps)]
             assert got == placed(reference_select(state, pending, probs, s_ref, H, eps))
-            assert s.uniform() == s_ref.uniform()
+            assert s.random() == s_ref.random()

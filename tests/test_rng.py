@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from marlsched.rng import derive_stream, pareto_from_uniform
+from marlsched.rng import derive_stream
+from marlsched.workload import pareto_from_uniform
 
 
 def normal(s) -> float:
     """Next standard-normal draw of stream ``s``: one scalar generator call."""
-    return float(s._gen.standard_normal())
+    return float(s.standard_normal())
 
 
 def exponential_from_uniform(u: float, rate: float) -> float:
@@ -29,7 +30,7 @@ def sample_pareto(s, alpha: float, t_min: float) -> float:
     """Pareto(alpha, t_min) draw; always >= t_min."""
     if alpha <= 0 or t_min <= 0:
         raise ValueError("alpha and t_min must be positive")
-    return pareto_from_uniform(s.uniform(), alpha, t_min)
+    return pareto_from_uniform(s.random(), alpha, t_min)
 
 
 def sample_lognormal(s, mu: float, sigma: float) -> float:
@@ -43,13 +44,13 @@ def sample_exponential(s, rate: float) -> float:
     """Exponential(rate) draw; always >= 0."""
     if rate <= 0:
         raise ValueError("rate must be positive")
-    return exponential_from_uniform(s.uniform(), rate)
+    return exponential_from_uniform(s.random(), rate)
 
 
 def sample_categorical(s, weights) -> int:
     """Index i such that the stream's uniform falls in the i-th cumulative bin."""
     cum = np.cumsum(weights)
-    u = s.uniform()
+    u = s.random()
     return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
 
 
@@ -59,7 +60,7 @@ class FixedUniformStream:
     def __init__(self, u):
         self._u = u
 
-    def uniform(self):
+    def random(self):
         return self._u
 
 
@@ -67,17 +68,20 @@ class TestStreams:
     def test_same_label_same_sequence(self):
         a = derive_stream(42, "workload")
         b = derive_stream(42, "workload")
-        assert [a.uniform() for _ in range(100)] == [b.uniform() for _ in range(100)]
+        assert [a.random() for _ in range(100)] == [b.random() for _ in range(100)]
 
     def test_distinct_labels_differ(self):
         a = derive_stream(42, "workload")
         b = derive_stream(42, "cluster")
-        assert [a.uniform() for _ in range(10)] != [b.uniform() for _ in range(10)]
+        assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
 
     def test_distinct_master_seeds_differ(self):
         a = derive_stream(42, "workload")
         b = derive_stream(43, "workload")
-        assert [a.uniform() for _ in range(10)] != [b.uniform() for _ in range(10)]
+        assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
+
+    def test_stream_is_a_numpy_generator(self):
+        assert type(derive_stream(42, "workload")) is np.random.Generator
 
     def test_empty_label_rejected(self):
         with pytest.raises(ValueError):
@@ -86,31 +90,31 @@ class TestStreams:
     def test_uniform_array_matches_single_draws(self):
         a = derive_stream(7, "x")
         b = derive_stream(7, "x")
-        assert list(a.uniform_array(20)) == [b.uniform() for _ in range(20)]
+        assert list(a.random(20)) == [b.random() for _ in range(20)]
 
     def test_normal_array_matches_single_draws(self):
         # 20 000 normals include some of the ziggurat's multi-word draws
         a = derive_stream(7, "x")
         b = derive_stream(7, "x")
-        assert a.normal_array(20_000).tolist() == [normal(b) for _ in range(20_000)]
+        assert a.standard_normal(20_000).tolist() == [normal(b) for _ in range(20_000)]
 
     def test_fills_into_out_match_single_draws(self):
         a = derive_stream(7, "x")
         b = derive_stream(7, "x")
         buf = np.empty(12)
         for k in range(0, 12, 6):
-            a.uniform_array(out=buf[k:k + 2])
-            a.normal_array(out=buf[k + 2:k + 6])
+            a.random(out=buf[k:k + 2])
+            a.standard_normal(out=buf[k + 2:k + 6])
         want = []
         for _ in range(2):
-            want += [b.uniform() for _ in range(2)] + [normal(b) for _ in range(4)]
+            want += [b.random() for _ in range(2)] + [normal(b) for _ in range(4)]
         assert buf.tolist() == want
-        assert a.uniform() == b.uniform()
+        assert a.random() == b.random()
 
     @given(st.integers(min_value=0, max_value=2**32), st.text(min_size=1, max_size=20))
     def test_uniform_in_unit_interval(self, seed, label):
         s = derive_stream(seed, label)
-        u = s.uniform()
+        u = s.random()
         assert 0.0 <= u < 1.0
 
 

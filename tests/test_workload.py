@@ -120,7 +120,7 @@ class TestReferenceEquivalence:
         got = generate_workload(s, count)
         assert got == reference_workload(ref, count)
         assert all(type(t) is Task for t in got)
-        assert s.uniform() == ref.uniform()
+        assert s.random() == ref.random()
 
     @pytest.mark.parametrize("arrival_rate", [13.7, 3])
     def test_non_default_rate(self, arrival_rate):
@@ -136,13 +136,13 @@ class TestReferenceEquivalence:
         the ziggurat's slow path too."""
         count, rate = 21_804, 34.61
         got_s, want_s = derive_stream(seed, "workload-0"), derive_stream(seed, "workload-0")
-        start = got_s._gen.bit_generator.state
+        start = got_s.bit_generator.state
         got = generate_workload(got_s, count, rate)
         assert got == reference_workload(want_s, count, rate)
         assert {type(t) for t in got} == {Task}
         assert {tuple(map(type, t)) for t in got} == {(int, float, float, float, float, int, float)}
-        assert [got_s.uniform() for _ in range(3)] == [want_s.uniform() for _ in range(3)]
-        assert extra_words(start, got_s._gen.bit_generator.state, 5 * count + 3) > 0
+        assert [got_s.random() for _ in range(3)] == [want_s.random() for _ in range(3)]
+        assert extra_words(start, got_s.bit_generator.state, 5 * count + 3) > 0
 
     @pytest.mark.parametrize("arrival_rate", [0.0, -1.0])
     def test_bad_arrival_rate_rejected(self, arrival_rate):
