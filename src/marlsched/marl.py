@@ -45,6 +45,14 @@ class Hyperparams:
         for name in ("hidden", "replay_capacity", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"hyper.{name} must be >= 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"hyper.learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"hyper.lr_decay must be in (0, 1], got {self.lr_decay}")
+        if not 0 <= self.gamma <= 1:
+            raise ValueError(f"hyper.gamma must be in [0, 1], got {self.gamma}")
+        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
+            raise ValueError(f"hyper.grad_clip_norm must be > 0 or null, got {self.grad_clip_norm}")
 
 
 @dataclass
@@ -173,7 +181,6 @@ def select_assignments(
     cpu_capacity, mem_capacity = state.specs.cpu_capacity, state.specs.mem_capacity
     util = state.utilization()
     mem_frac = state.mem_in_use / mem_capacity
-    masked = np.empty(state.n_nodes)
     probs = None
     decisions = []
     for task in order:
@@ -181,15 +188,12 @@ def select_assignments(
         if not feas:
             continue
         if explore_epsilon > 0.0 and s.random() < explore_epsilon:
-            u = s.random()
-            chosen = feas[min(int(u * len(feas)), len(feas) - 1)]
+            chosen = feas[int(s.random() * len(feas))]
         else:
             if probs is None:
                 probs = self_probs()
             scores = assignment_score(probs, util, mem_frac, task, cpu_capacity, h)
-            masked.fill(-np.inf)
-            masked[feas] = scores[feas]
-            chosen = int(masked.argmax())   # the first maximum, as a strict-> scan picks
+            chosen = feas[int(scores[feas].argmax())]   # feas ascends: ties to the lowest id
         util[chosen] += task.cpu / cpu_capacity[chosen]
         mem_frac[chosen] += task.mem / mem_capacity[chosen]
         decisions.append(SchedulerDecision(task.id, chosen))
@@ -291,7 +295,7 @@ class ReplayBuffer:
 
 
 def apply_update(agents: AgentParams, i: int, batch: Experience, gamma: float,
-                 grad_clip_norm: float | None = None,
+                 grad_clip_norm: float | None,
                  lr_decay: float = Hyperparams.lr_decay) -> None:
     """One averaged semi-gradient step of agent ``i`` of the population: policy
     ascent on log-prob times advantage, value descent on squared TD error; then
@@ -399,7 +403,8 @@ class DrlScheduler(Scheduler):
     """Scheduler interface around the agent population.
 
     Parameters persist across episodes (learning); per-episode randomness
-    comes from the stream handed to ``reset``.
+    comes from the stream handed to ``reset``. With ``train`` off it only acts:
+    no exploration, update, replay row, TD error or step reward.
     """
 
     name = "drl"
@@ -417,8 +422,8 @@ class DrlScheduler(Scheduler):
 
     def reset(self, state, stream=None):
         self._stream = stream
-        # This step's placements (agent ids, copied observation rows), stored once
-        # the step reward (after the advance) and the next rows (next assign) are known.
+        # Training only: this step's placements (agent ids, copied observation rows),
+        # stored once the step reward (after advance) and next rows (next assign) are known.
         self._placed = np.zeros(0, dtype=int)
         self._placed_obs = np.zeros((0, OBS_DIM))
         self._reward = 0.0
@@ -460,8 +465,9 @@ class DrlScheduler(Scheduler):
         decisions = select_assignments(state, pending,
                                        lambda: forward(self.agents, observations)[0].diagonal(),
                                        self._stream, self.h, eps)
-        self._placed = np.array([d.node_id for d in decisions], dtype=int)
-        self._placed_obs = observations[self._placed]
+        if self.train:
+            self._placed = np.array([d.node_id for d in decisions], dtype=int)
+            self._placed_obs = observations[self._placed]
         return decisions
 
     def after_advance(self, state, report):

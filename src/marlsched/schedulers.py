@@ -59,8 +59,7 @@ class RandomScheduler(Scheduler):
             feas = feasible_nodes(state, task)
             if not feas:
                 continue
-            u = self._stream.random()
-            decisions.append(SchedulerDecision(task.id, feas[min(int(u * len(feas)), len(feas) - 1)]))
+            decisions.append(SchedulerDecision(task.id, feas[int(self._stream.random() * len(feas))]))
         return decisions
 
 

@@ -149,6 +149,14 @@ class TestExperimentConfig:
         ({"final_window": 0}, "need episodes >= final_window >= 1"),
         ({"sim.max_time": 0}, "max_time must be positive, got 0"),
         ({"sim.max_time": -5}, "max_time must be positive, got -5"),
+        ({"hyper.learning_rate": 0}, "hyper.learning_rate must be > 0, got 0"),
+        ({"hyper.learning_rate": -0.001}, "hyper.learning_rate must be > 0, got -0.001"),
+        ({"hyper.lr_decay": 0}, "hyper.lr_decay must be in (0, 1], got 0"),
+        ({"hyper.lr_decay": 1.5}, "hyper.lr_decay must be in (0, 1], got 1.5"),
+        ({"hyper.gamma": 2.0}, "hyper.gamma must be in [0, 1], got 2.0"),
+        ({"hyper.gamma": -0.5}, "hyper.gamma must be in [0, 1], got -0.5"),
+        ({"hyper.grad_clip_norm": -1}, "hyper.grad_clip_norm must be > 0 or null, got -1"),
+        ({"hyper.grad_clip_norm": 0}, "hyper.grad_clip_norm must be > 0 or null, got 0"),
     ])
     def test_value_out_of_range_rejected(self, raw, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -354,6 +362,10 @@ class TestCliRun:
     @pytest.mark.parametrize("raw", [
         {"hyper.batch_size": 0}, {"hyper.replay_capacity": 0}, {"n_nodes": 0},
         {"n_tasks": 0}, {"arrival_rate": -1.0}, [1, 2],
+        {"hyper.learning_rate": 0}, {"hyper.learning_rate": -0.001},
+        {"hyper.lr_decay": 0}, {"hyper.lr_decay": 1.5},
+        {"hyper.gamma": 2.0}, {"hyper.gamma": -0.5},
+        {"hyper.grad_clip_norm": -1}, {"hyper.grad_clip_norm": 0},
     ])
     def test_config_value_out_of_range_exits_2(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"

@@ -459,7 +459,7 @@ class TestApplyUpdate:
         agent = zero_agents(h, 6, 3)
         before = copy_params(agent)
         batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
-        apply_update(agent, 0, batch, gamma=0.99)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None)
         assert np.array_equal(agent.W1, before.W1) and np.array_equal(agent.W2, before.W2)
         assert np.array_equal(agent.Wv, before.Wv) and np.array_equal(agent.bv, before.bv)
         assert agent.current_lr[0] == pytest.approx(before.current_lr[0] * 0.9995)
@@ -467,15 +467,16 @@ class TestApplyUpdate:
     def test_learning_rate_decays_by_lr_decay(self):
         agent = zero_agents(small_hyper(), 6, 3)
         batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
-        apply_update(agent, 0, batch, gamma=0.99, lr_decay=0.9)
-        apply_update(agent, 0, batch, gamma=0.99, lr_decay=0.9)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9)
         assert agent.current_lr[0] == pytest.approx(0.001 * 0.81)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             empty = Experience(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0, dtype=int),
                                np.zeros(0), np.zeros(0))
-            apply_update(zero_agents(small_hyper(), 6, 3), 0, empty, gamma=0.99)
+            apply_update(zero_agents(small_hyper(), 6, 3), 0, empty, gamma=0.99,
+                         grad_clip_norm=None)
 
     def test_gradient_matches_finite_differences(self):
         """Analytic backprop vs central differences on 100 random small nets."""
@@ -664,6 +665,25 @@ class TestDrlScheduler:
         a, b = run(), run()
         assert a.atct == b.atct and a.energy_kwh == b.energy_kwh
 
+    def test_inference_mode_only_acts(self, monkeypatch):
+        """``train=False`` places tasks, but stores no replay row, computes no
+        TD error or step reward, and draws nothing from its stream."""
+        from marlsched import marl
+        from marlsched.experiment import ExperimentConfig, run_episode
+
+        def learner_bookkeeping(*args):
+            raise AssertionError("learner bookkeeping ran with train=False")
+
+        monkeypatch.setattr(marl, "td_error", learner_bookkeeping)
+        monkeypatch.setattr(marl, "compute_step_reward", learner_bookkeeping)
+        cfg = ExperimentConfig(master_seed=5, n_nodes=6, n_tasks=30,
+                               episodes=1, final_window=1)
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper, train=False)
+        assert run_episode(sched, cfg, 0).metrics.completed > 0
+        assert [len(b) for b in sched.buffers] == [0] * cfg.n_nodes
+        at_reset = derive_stream(cfg.master_seed, "sched-drl-0").bit_generator.state
+        assert sched._stream.bit_generator.state == at_reset
+
     def test_episode_counter_and_epsilon_decay(self):
         from marlsched.experiment import ExperimentConfig, run_episode
 
@@ -763,7 +783,7 @@ def reference_select(state, pending, self_probs, s, h, explore_epsilon):
             continue
         if explore_epsilon > 0.0 and s.random() < explore_epsilon:
             u = s.random()
-            chosen = feas[min(int(u * len(feas)), len(feas) - 1)]
+            chosen = feas[int(u * len(feas))]
         else:
             chosen, best = None, None
             for nid in feas:
@@ -782,8 +802,8 @@ def placed(decisions):
 
 
 class TestSelectionOracle:
-    """The masked-argmax placement equals the per-node loop, decision for decision,
-    and consumes the same draws."""
+    """The argmax placement over the feasible nodes equals the per-node loop,
+    decision for decision, and consumes the same draws."""
 
     @staticmethod
     def random_case(seed):

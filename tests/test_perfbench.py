@@ -45,3 +45,23 @@ def test_finished_episode_passes_the_benchmark_invariants(perfbench_module):
         step_energy_j += advance(state, cfg.sim.dt).energy_joules
     assert state.completions
     assert run.episode_problem(state, summarize_episode(state), step_energy_j, cfg.n_tasks) is None
+
+
+def test_run_hooks_targets_exist(perfbench_module):
+    """The untraced run, the one whose figures are compared, and the traced run
+    patch ``(owner, attr)`` pairs that must exist on each workload's scheduler
+    class, and that class must be the one ``make_scheduler`` builds."""
+    from marlsched import experiment
+    from marlsched.marl import DrlScheduler
+
+    run, workloads = perfbench_module("run"), perfbench_module("workloads")
+    for workload in workloads.WORKLOADS:
+        config = workloads.make_config(workload, 42, "unused")
+        name = config.schedulers[0]
+        cls = experiment.BASELINES.get(name, DrlScheduler)
+        for traced in (False, True):
+            missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+                       for owner, attr, _ in run.RunHooks(config, traced).replacements(cls)
+                       if attr not in owner.__dict__]
+            assert missing == [], (workload, traced)
+        assert type(experiment.make_scheduler(name, config)) is cls, workload
