@@ -7,7 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .experiment import ALL_SCHEDULERS, ExperimentConfig, compare, run_scheduler
+from .experiment import ALL_SCHEDULERS, LEARNER, ExperimentConfig, compare, run_scheduler
 from .plots import emit_all
 
 
@@ -63,8 +63,8 @@ def main(argv=None) -> int:
         return 2
 
     if args.command == "run":
-        # --scheduler, else the config's scheduler when it names exactly one
-        name = config.schedulers[0] if len(config.schedulers) == 1 else "drl"
+        # --scheduler, else the config's scheduler when it names exactly one, else the learner
+        name = config.schedulers[0] if len(config.schedulers) == 1 else LEARNER
         results = run_scheduler(config, name)
         print(f"wrote {Path(config.output_dir) / (name + '.csv')} ({len(results)} episodes)")
         return 0

@@ -21,7 +21,12 @@ from .simenv import SimConfig, advance, enqueue_assignment, init_episode
 from .stats import bonferroni, confidence_interval_95, welch_t_test
 from .workload import DEFAULT_ARRIVAL_RATE, generate_workload
 
-ALL_SCHEDULERS = ("random", "wrr", "minmin", "drl")
+# Scheduler name -> builder from a config, in report order. A baseline's class is looked
+# up in BASELINES when built; the learner is compared with the rest and writes a checkpoint.
+LEARNER = DrlScheduler.name
+SCHEDULERS = {**{name: lambda config, name=name: BASELINES[name]() for name in BASELINES},
+              LEARNER: lambda config: DrlScheduler(config.master_seed, config.n_nodes, config.hyper)}
+ALL_SCHEDULERS = tuple(SCHEDULERS)
 
 EPISODE_CSV_COLUMNS = [
     "episode", "scheduler", "atct_s", "energy_kwh", "sla_rate",
@@ -171,11 +176,9 @@ def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
 
 
 def make_scheduler(name: str, config: ExperimentConfig) -> Scheduler:
-    if name in BASELINES:
-        return BASELINES[name]()
-    if name == "drl":
-        return DrlScheduler(config.master_seed, config.n_nodes, config.hyper)
-    raise ValueError(f"unknown scheduler: {name!r}")
+    if name not in SCHEDULERS:
+        raise ValueError(f"unknown scheduler: {name!r}")
+    return SCHEDULERS[name](config)
 
 
 def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
@@ -197,31 +200,37 @@ def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
     finally:
         if trace_file:
             trace_file.close()
-    if name == "drl":
-        save_checkpoint(out / "drl_checkpoint.npz", scheduler.agents, config.episodes - 1)
+    if name == LEARNER:
+        save_checkpoint(out / f"{LEARNER}_checkpoint.npz", scheduler.agents, config.episodes - 1)
     return results
 
 
-def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
-    """Write to a sibling ``.tmp`` file, then replace ``path`` with it, so a
-    write that fails midway leaves the previous file whole and no ``.tmp``."""
+def _write_replacing(path, write) -> None:
+    """Call ``write`` on a sibling ``.tmp`` file, then replace ``path`` with it, so
+    a write that fails midway leaves the previous file whole and no ``.tmp``."""
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(EPISODE_CSV_COLUMNS)
-            for r in results:
-                m = r.metrics
-                w.writerow([
-                    r.episode, r.scheduler,
-                    "" if m.atct is None else f"{m.atct:.6f}",
-                    f"{m.energy_kwh:.6f}", f"{m.sla_rate:.6f}", f"{m.throughput:.6f}",
-                    m.completed, f"{m.mean_step_util_variance:.8f}", f"{m.objective_j:.8f}",
-                ])
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
+    def write(f):
+        w = csv.writer(f)
+        w.writerow(EPISODE_CSV_COLUMNS)
+        for r in results:
+            m = r.metrics
+            w.writerow([
+                r.episode, r.scheduler,
+                "" if m.atct is None else f"{m.atct:.6f}",
+                f"{m.energy_kwh:.6f}", f"{m.sla_rate:.6f}", f"{m.throughput:.6f}",
+                m.completed, f"{m.mean_step_util_variance:.8f}", f"{m.objective_j:.8f}",
+            ])
+    _write_replacing(path, write)
 
 
 def read_episode_csv(path) -> list[dict]:
@@ -238,8 +247,7 @@ def compare(config: ExperimentConfig) -> dict:
     report = build_comparison(config, all_results)
     out = Path(config.output_dir)
     write_comparison_csv(out / "comparison.csv", report)
-    with open(out / "report.txt", "w") as f:
-        f.write(format_report(report))
+    _write_replacing(out / "report.txt", lambda f: f.write(format_report(report)))
     return report
 
 
@@ -274,29 +282,27 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
     tests = {}
     skipped = {}
     improvements = {}
-    if "drl" in all_results:
-        n_baselines = sum(1 for n in all_results if n != "drl")
-        drl_atct = _final_atct(all_results["drl"], k)
-        for name, results in all_results.items():
-            if name == "drl":
-                continue
+    if LEARNER in all_results:
+        baselines = {n: results for n, results in all_results.items() if n != LEARNER}
+        learner_atct = _final_atct(all_results[LEARNER], k)
+        for name, results in baselines.items():
             base_atct = _final_atct(results, k)
-            drl_usable, base_usable = ([v for v in side if v is not None]
-                                       for side in (drl_atct, base_atct))
-            empty = [who for who, usable in (("drl", drl_usable), (name, base_usable)) if not usable]
+            learner_usable, base_usable = ([v for v in side if v is not None]
+                                           for side in (learner_atct, base_atct))
+            empty = [who for who, usable in ((LEARNER, learner_usable), (name, base_usable)) if not usable]
             if empty:
                 skipped[name] = (f"no task completed in the final-window episodes of "
                                  f"{' and '.join(empty)}, so there is no ATCT for "
                                  f"the Welch test or the improvement CI")
-            elif min(len(drl_usable), len(base_usable)) < 2:
-                skipped[name] = (f"Welch needs 2 final-window ATCT values per side, "
-                                 f"got {len(drl_usable)} (drl) and {len(base_usable)} ({name})")
+            elif min(len(learner_usable), len(base_usable)) < 2:
+                skipped[name] = (f"Welch needs 2 final-window ATCT values per side, got "
+                                 f"{len(learner_usable)} ({LEARNER}) and {len(base_usable)} ({name})")
             else:
-                t, p = welch_t_test(drl_usable, base_usable)
-                tests[name] = {"t": t, "p": p, "p_bonferroni": bonferroni(p, n_baselines)}
-            # per-episode relative ATCT improvement of drl over the baseline, over
-            # the episodes in which both completed a task
-            rel = [(b - d) / b for d, b in zip(drl_atct, base_atct) if d is not None and b]
+                t, p = welch_t_test(learner_usable, base_usable)
+                tests[name] = {"t": t, "p": p, "p_bonferroni": bonferroni(p, len(baselines))}
+            # per-episode relative ATCT improvement of the learner over the baseline,
+            # over the episodes in which both completed a task
+            rel = [(b - d) / b for d, b in zip(learner_atct, base_atct) if d is not None and b]
             if len(rel) >= 2:
                 improvements[name] = {
                     "mean": sum(rel) / len(rel),
@@ -315,7 +321,7 @@ COMPARISON_CSV_COLUMNS = [
 
 
 def write_comparison_csv(path, report: dict) -> None:
-    with open(path, "w", newline="") as f:
+    def write(f):
         w = csv.writer(f)
         w.writerow(COMPARISON_CSV_COLUMNS)
         for name, row in report["rows"].items():
@@ -333,6 +339,7 @@ def write_comparison_csv(path, report: dict) -> None:
                 "" if test is None else f"{test['p']:.6g}",
                 "" if test is None else f"{test['p_bonferroni']:.6g}",
             ])
+    _write_replacing(path, write)
 
 
 def format_report(report: dict) -> str:
@@ -356,15 +363,15 @@ def format_report(report: dict) -> str:
         )
     if report["tests_atct_vs_drl"] or report["tests_skipped"]:
         lines.append("")
-        lines.append("ATCT tests vs drl (Welch, two-sided; Bonferroni-corrected alongside raw):")
+        lines.append(f"ATCT tests vs {LEARNER} (Welch, two-sided; Bonferroni-corrected alongside raw):")
         for name, test in report["tests_atct_vs_drl"].items():
-            lines.append(f"  drl vs {name:<8} t={test['t']:+.3f}  p={test['p']:.4g}  "
+            lines.append(f"  {LEARNER} vs {name:<8} t={test['t']:+.3f}  p={test['p']:.4g}  "
                          f"p_bonf={test['p_bonferroni']:.4g}")
         for name, reason in report["tests_skipped"].items():
-            lines.append(f"  drl vs {name:<8} skipped: {reason}")
+            lines.append(f"  {LEARNER} vs {name:<8} skipped: {reason}")
     if report["improvement_over"]:
         lines.append("")
-        lines.append("Relative ATCT improvement of drl (95% CI over paired episodes):")
+        lines.append(f"Relative ATCT improvement of {LEARNER} (95% CI over paired episodes):")
         for name, imp in report["improvement_over"].items():
             lo, hi = imp["ci95"]
             lines.append(f"  over {name:<8} {imp['mean']*100:+.1f}%  CI [{lo*100:+.1f}%, {hi*100:+.1f}%]")

@@ -295,8 +295,7 @@ class ReplayBuffer:
 
 
 def apply_update(agents: AgentParams, i: int, batch: Experience, gamma: float,
-                 grad_clip_norm: float | None,
-                 lr_decay: float = Hyperparams.lr_decay) -> None:
+                 grad_clip_norm: float | None, lr_decay: float) -> None:
     """One averaged semi-gradient step of agent ``i`` of the population: policy
     ascent on log-prob times advantage, value descent on squared TD error; then
     decay its rate by ``lr_decay``. Agent i's rows are updated in place."""

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .experiment import read_episode_csv
+from .experiment import LEARNER, read_episode_csv
 
 WIDTH, HEIGHT = 640, 400
 MARGIN = 56
@@ -131,19 +131,19 @@ def comparison_bars_svg(results_dir, schedulers, final_window, out_path) -> None
 
 
 def improvement_curve_svg(results_dir, out_path) -> None:
-    """Per-episode relative ATCT improvement of drl over random."""
-    eps_d, drl = _load_series(results_dir, "drl")
+    """Per-episode relative ATCT improvement of the learner over random."""
+    eps_l, learner = _load_series(results_dir, LEARNER)
     eps_r, rnd = _load_series(results_dir, "random")
-    common = sorted(set(eps_d) & set(eps_r))
+    common = sorted(set(eps_l) & set(eps_r))
     if not common:
-        raise PlotInputError(f"no overlapping episodes between drl.csv and random.csv in {results_dir}")
-    dmap, rmap = dict(zip(eps_d, drl)), dict(zip(eps_r, rnd))
-    imp = [(rmap[e] - dmap[e]) / rmap[e] * 100.0 for e in common]
+        raise PlotInputError(f"no overlapping episodes between {LEARNER}.csv and random.csv in {results_dir}")
+    lmap, rmap = dict(zip(eps_l, learner)), dict(zip(eps_r, rnd))
+    imp = [(rmap[e] - lmap[e]) / rmap[e] * 100.0 for e in common]
     x0, y0, x1, y1 = MARGIN, MARGIN, WIDTH - 20, HEIGHT - MARGIN
     sx, *_ = _scale(common, x0, x1, vmin=1)
     sy, ymin, ymax = _scale(imp, y1, y0)
     body = _axes(x0, y0, x1, y1, "Episode", "Improvement over random (%)",
-                 "ATCT improvement of drl over random")
+                 f"ATCT improvement of {LEARNER} over random")
     if ymin < 0 < ymax:
         zy = sy(0)
         body.append(f'<line x1="{x0}" y1="{zy:.1f}" x2="{x1}" y2="{zy:.1f}" '
@@ -151,7 +151,7 @@ def improvement_curve_svg(results_dir, out_path) -> None:
     body.append(f'<text x="{x0 - 6}" y="{y1 + 4}" text-anchor="end">{ymin:.0f}</text>')
     body.append(f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end">{ymax:.0f}</text>')
     pts = " ".join(f"{sx(e):.1f},{sy(v):.1f}" for e, v in zip(common, imp))
-    body.append(f'<polyline points="{pts}" fill="none" stroke="{COLORS["drl"]}" stroke-width="1.5"/>')
+    body.append(f'<polyline points="{pts}" fill="none" stroke="{COLORS[LEARNER]}" stroke-width="1.5"/>')
     Path(out_path).write_text(_svg(body))
 
 

@@ -150,8 +150,4 @@ class PriorityMinMinScheduler(Scheduler):
         return decisions
 
 
-BASELINES = {
-    "random": RandomScheduler,
-    "wrr": WeightedRoundRobinScheduler,
-    "minmin": PriorityMinMinScheduler,
-}
+BASELINES = {cls.name: cls for cls in (RandomScheduler, WeightedRoundRobinScheduler, PriorityMinMinScheduler)}

@@ -158,7 +158,7 @@ def test_p3_network_correctness():
         targets = td_targets(net, batch)
         before = copy_params(net)
         lr = net.current_lr[0]
-        apply_update(net, 0, batch, gamma=0.99, grad_clip_norm=None)
+        apply_update(net, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9995)
         analytic = np.concatenate([
             ((getattr(before, n) - getattr(net, n)) / lr).ravel()
             for n in ("W1", "b1", "W2", "b2", "Wv")

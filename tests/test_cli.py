@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -17,17 +17,20 @@ from marlsched import experiment
 from marlsched.cli import main
 from marlsched.experiment import (
     ALL_SCHEDULERS,
+    COMPARISON_CSV_COLUMNS,
     EPISODE_CSV_COLUMNS,
     EpisodeResult,
     ExperimentConfig,
     build_comparison,
+    compare,
+    make_scheduler,
     read_episode_csv,
     run_scheduler,
     write_episode_csv,
 )
-from marlsched.marl import Hyperparams
+from marlsched.marl import DrlScheduler, Hyperparams
 from marlsched.metrics import EpisodeMetrics
-from marlsched.plots import PlotInputError, emit_all, improvement_curve_svg
+from marlsched.plots import COLORS, PlotInputError, emit_all, improvement_curve_svg
 from marlsched.schedulers import RandomScheduler
 from marlsched.simenv import SimConfig
 
@@ -198,6 +201,45 @@ class TestEpisodeCsv:
         assert out2.read_bytes() == (tmp_path / "random.csv").read_bytes()
 
 
+class TestSchedulerTable:
+    CONFIG = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1)
+
+    @pytest.mark.parametrize("name", ALL_SCHEDULERS)
+    def test_builds_the_named_class(self, name):
+        """The lookup the benchmark harness makes: a baseline's class, else the learner's."""
+        scheduler = make_scheduler(name, self.CONFIG)
+        assert scheduler.name == name
+        assert type(scheduler) is experiment.BASELINES.get(name, DrlScheduler)
+
+    @pytest.mark.parametrize("name", experiment.BASELINES)
+    def test_baseline_writes_no_checkpoint(self, tmp_path, name):
+        run_scheduler(replace(self.CONFIG, output_dir=str(tmp_path)), name)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.csv"]
+
+    @pytest.mark.parametrize("name", ALL_SCHEDULERS)
+    def test_every_scheduler_has_a_colour(self, name):
+        assert name in COLORS
+
+
+class FullDisk:
+    """A file whose writes fail as on a full disk, except a line that starts the
+    header (``first_column``)."""
+
+    def __init__(self, f, first_column):
+        self.f, self.first_column = f, first_column
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, text):
+        if not text.startswith(self.first_column):
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.f.write(text)
+
+
 class CrashingRandom(RandomScheduler):
     """Random placement that fails in the first step of episode 2."""
 
@@ -238,21 +280,6 @@ class TestRunScheduler:
             return ExperimentConfig(n_nodes=6, n_tasks=20, episodes=4, final_window=1,
                                     output_dir=str(tmp_path / out))
 
-        class FullDisk:
-            def __init__(self, f):
-                self.f = f
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.f.close()
-
-            def write(self, text):
-                if not text.startswith(EPISODE_CSV_COLUMNS[0]):
-                    raise OSError(errno.ENOSPC, "No space left on device")
-                return self.f.write(text)
-
         writes = []
 
         def open_filling_disk(file, mode="r", *args, **kwargs):
@@ -260,7 +287,7 @@ class TestRunScheduler:
             if "w" not in mode:
                 return f
             writes.append(file)
-            return FullDisk(f) if len(writes) == 3 else f
+            return FullDisk(f, EPISODE_CSV_COLUMNS[0]) if len(writes) == 3 else f
 
         run_scheduler(config("full"), "random")
         monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
@@ -270,6 +297,25 @@ class TestRunScheduler:
         full = (tmp_path / "full" / "random.csv").read_bytes()
         assert failed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
         assert sorted(p.name for p in failed.parent.iterdir()) == ["random.csv"]
+
+    def test_failed_comparison_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        """The ``comparison.csv`` rewrite fails after its header, as on a full disk;
+        the previous file stays whole, and no ``.tmp`` file is left beside it."""
+        config = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1,
+                                  schedulers=("random", "minmin"), output_dir=str(tmp_path))
+        compare(config)
+        previous = (tmp_path / "comparison.csv").read_bytes()
+
+        def open_filling_disk(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            return (FullDisk(f, COMPARISON_CSV_COLUMNS[0])
+                    if Path(file).name == "comparison.csv.tmp" else f)
+
+        monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            compare(config)
+        assert (tmp_path / "comparison.csv").read_bytes() == previous
+        assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("name", ["minmin", "drl"])
     def test_trace_records_match_episode_csv(self, tmp_path, name):

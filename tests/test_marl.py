@@ -459,7 +459,7 @@ class TestApplyUpdate:
         agent = zero_agents(h, 6, 3)
         before = copy_params(agent)
         batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
-        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9995)
         assert np.array_equal(agent.W1, before.W1) and np.array_equal(agent.W2, before.W2)
         assert np.array_equal(agent.Wv, before.Wv) and np.array_equal(agent.bv, before.bv)
         assert agent.current_lr[0] == pytest.approx(before.current_lr[0] * 0.9995)
@@ -476,7 +476,7 @@ class TestApplyUpdate:
             empty = Experience(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0, dtype=int),
                                np.zeros(0), np.zeros(0))
             apply_update(zero_agents(small_hyper(), 6, 3), 0, empty, gamma=0.99,
-                         grad_clip_norm=None)
+                         grad_clip_norm=None, lr_decay=0.9995)
 
     def test_gradient_matches_finite_differences(self):
         """Analytic backprop vs central differences on 100 random small nets."""
@@ -491,7 +491,7 @@ class TestApplyUpdate:
 
             before = copy_params(agent)
             lr = agent.current_lr[0]
-            apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None)
+            apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9995)
             analytic = np.concatenate([
                 ((getattr(before, n) - getattr(agent, n)) / lr).ravel() for n in PARAM_NAMES
             ])
@@ -518,7 +518,7 @@ class TestApplyUpdate:
         batch = rows(*[(np.ones(6), 0, 1000.0, np.ones(6), True)] * 4)
         before = copy_params(agent)
         lr = agent.current_lr[0]
-        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=1.0)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=1.0, lr_decay=0.9995)
         norm = np.sqrt(sum(np.sum(((getattr(before, n) - getattr(agent, n)) / lr) ** 2)
                            for n in PARAM_NAMES))
         assert norm <= 1.0 + 1e-9
@@ -535,8 +535,8 @@ class TestApplyUpdate:
         for i in range(4):
             before = copy_params(agents)
             alone = member(agents, i)
-            apply_update(agents, i, batch, gamma=0.99, grad_clip_norm=10.0)
-            apply_update(alone, 0, batch, gamma=0.99, grad_clip_norm=10.0)
+            apply_update(agents, i, batch, gamma=0.99, grad_clip_norm=10.0, lr_decay=0.9995)
+            apply_update(alone, 0, batch, gamma=0.99, grad_clip_norm=10.0, lr_decay=0.9995)
             others = [k for k in range(4) if k != i]
             for f in fields(AgentParams):
                 got, was = getattr(agents, f.name), getattr(before, f.name)
