@@ -201,16 +201,18 @@ def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
         if trace_file:
             trace_file.close()
     if name == LEARNER:
-        save_checkpoint(out / f"{LEARNER}_checkpoint.npz", scheduler.agents, config.episodes - 1)
+        write_replacing(out / f"{LEARNER}_checkpoint.npz", lambda f: save_checkpoint(
+            f, scheduler.agents, config.episodes - 1), "wb")
     return results
 
 
-def _write_replacing(path, write) -> None:
-    """Call ``write`` on a sibling ``.tmp`` file, then replace ``path`` with it, so
-    a write that fails midway leaves the previous file whole and no ``.tmp``."""
+def write_replacing(path, write, mode="w") -> None:
+    """Call ``write`` on a sibling ``.tmp`` file opened in ``mode`` (text with
+    untranslated newlines, or ``"wb"``), then replace ``path`` with it, so a write
+    that fails midway leaves the previous file whole and no ``.tmp``."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "w", newline="") as f:
+        with open(tmp, mode, newline=None if "b" in mode else "") as f:
             write(f)
         os.replace(tmp, path)
     except BaseException:
@@ -230,7 +232,7 @@ def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
                 f"{m.energy_kwh:.6f}", f"{m.sla_rate:.6f}", f"{m.throughput:.6f}",
                 m.completed, f"{m.mean_step_util_variance:.8f}", f"{m.objective_j:.8f}",
             ])
-    _write_replacing(path, write)
+    write_replacing(path, write)
 
 
 def read_episode_csv(path) -> list[dict]:
@@ -247,7 +249,7 @@ def compare(config: ExperimentConfig) -> dict:
     report = build_comparison(config, all_results)
     out = Path(config.output_dir)
     write_comparison_csv(out / "comparison.csv", report)
-    _write_replacing(out / "report.txt", lambda f: f.write(format_report(report)))
+    write_replacing(out / "report.txt", lambda f: f.write(format_report(report)))
     return report
 
 
@@ -339,7 +341,7 @@ def write_comparison_csv(path, report: dict) -> None:
                 "" if test is None else f"{test['p']:.6g}",
                 "" if test is None else f"{test['p_bonferroni']:.6g}",
             ])
-    _write_replacing(path, write)
+    write_replacing(path, write)
 
 
 def format_report(report: dict) -> str:

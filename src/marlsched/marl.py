@@ -11,10 +11,8 @@ agent's replay keeps its transitions as array rows.
 
 from __future__ import annotations
 
-import os
 import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -364,19 +362,12 @@ def decay_explore(epsilon: float) -> float:
     return max(epsilon * EXPLORE_EPSILON_DECAY, EXPLORE_EPSILON_MIN)
 
 
-def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
-    """The population's arrays, uncompressed, plus a shape/episode header.
-
-    Writes the file ``np.savez`` would (``.npz`` appended when missing; one
-    zip64 ``<name>.npy`` member per array), but member by member straight from
-    each array's buffer: ``np.savez`` copies a whole array per member first,
-    and ``W2`` alone is n_nodes² × hidden floats. The zip goes to a sibling
-    ``.tmp`` file that then replaces ``path``, so a write that fails midway
-    leaves the previous checkpoint whole and no ``.tmp``.
-    """
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
+def save_checkpoint(f, agents: AgentParams, episode: int) -> None:
+    """Write the population's arrays, uncompressed, plus a shape/episode header
+    into the open binary file ``f``: into a seekable one, the bytes ``np.savez``
+    writes (one zip64 ``<name>.npy`` member per array), but straight from each
+    array's buffer, where ``np.savez`` copies each array (``W2`` alone is
+    n_nodes² × hidden floats)."""
     _, hidden, obs_dim = agents.W1.shape
     n_actions = agents.W2.shape[1]
     arrays = {
@@ -385,17 +376,11 @@ def save_checkpoint(path, agents: AgentParams, episode: int) -> None:
         "W1": agents.W1, "b1": agents.b1, "W2": agents.W2,
         "b2": agents.b2, "Wv": agents.Wv, "bv": agents.bv,
     }
-    tmp = Path(f"{path}.tmp")
-    try:
-        with zipfile.ZipFile(tmp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
-            for name, a in arrays.items():
-                with zf.open(f"{name}.npy", "w", force_zip64=True) as f:
-                    npy_format.write_array_header_1_0(f, npy_format.header_data_from_array_1_0(a))
-                    f.write(memoryview(a).cast("B"))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with zipfile.ZipFile(f, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, a in arrays.items():
+            with zf.open(f"{name}.npy", "w", force_zip64=True) as member:
+                npy_format.write_array_header_1_0(member, npy_format.header_data_from_array_1_0(a))
+                member.write(memoryview(a).cast("B"))
 
 
 class DrlScheduler(Scheduler):

@@ -2,32 +2,53 @@
 
 from __future__ import annotations
 
+import csv
+import math
 from pathlib import Path
 
-from .experiment import LEARNER, read_episode_csv
+from .experiment import LEARNER, read_episode_csv, write_replacing
 
 WIDTH, HEIGHT = 640, 400
 MARGIN = 56
 COLORS = {"random": "#7f7f7f", "wrr": "#1f77b4", "minmin": "#2ca02c", "drl": "#d62728"}
+
+# Each comparison panel's episode-CSV column and label; plots read only these and ``episode``.
+PANELS = [
+    ("atct_s", "ATCT (s)"),
+    ("energy_kwh", "Energy (kWh)"),
+    ("sla_rate", "SLA rate"),
+    ("throughput_per_1000s", "Throughput /1000s"),
+]
 
 
 class PlotInputError(ValueError):
     """Raised when a result CSV is missing or unusable; names the file."""
 
 
-def _load_series(results_dir, name):
+def _load_episodes(results_dir, name) -> list[dict]:
+    """The rows of ``<name>.csv``: ``episode`` an int, each panel's column a finite float
+    or None if empty. Any other cell, or a missing file or column, is a ``PlotInputError``."""
     path = Path(results_dir) / f"{name}.csv"
-    if not path.exists():
-        raise PlotInputError(f"missing results file: {path}")
-    rows = read_episode_csv(path)
-    episodes, atct = [], []
-    for r in rows:
-        if r.get("atct_s"):
-            episodes.append(int(r["episode"]) + 1)
-            atct.append(float(r["atct_s"]))
-    if not atct:
-        raise PlotInputError(f"no usable ATCT data in {path}")
-    return episodes, atct
+    try:
+        rows = [{"episode": int(r["episode"]), **{key: float(r[key]) if r[key] else None for key, _ in PANELS}}
+                for r in read_episode_csv(path)]
+    except FileNotFoundError:
+        raise PlotInputError(f"missing results file: {path}") from None
+    except KeyError as exc:
+        raise PlotInputError(f"{path} has no {exc} column") from None
+    except (ValueError, csv.Error) as exc:
+        raise PlotInputError(f"{path}: {exc}") from None
+    bad = [v for r in rows for v in r.values() if v is not None and not math.isfinite(v)]
+    if bad:
+        raise PlotInputError(f"{path}: {bad[0]} is not a finite number")
+    return rows
+
+
+def _load_series(results_dir, name):
+    rows = [r for r in _load_episodes(results_dir, name) if r["atct_s"] is not None]
+    if not rows:
+        raise PlotInputError(f"no usable ATCT data in {Path(results_dir) / f'{name}.csv'}")
+    return [r["episode"] + 1 for r in rows], [r["atct_s"] for r in rows]
 
 
 def _svg(body: list[str]) -> str:
@@ -82,7 +103,7 @@ def learning_curve_svg(results_dir, schedulers, out_path) -> None:
         body.append(f'<line x1="{x1 - 110}" y1="{ly - 4}" x2="{x1 - 90}" y2="{ly - 4}" '
                     f'stroke="{color}" stroke-width="2"/>')
         body.append(f'<text x="{x1 - 84}" y="{ly}">{name}</text>')
-    Path(out_path).write_text(_svg(body))
+    write_replacing(out_path, lambda f: f.write(_svg(body)))
 
 
 def _mean(values):
@@ -93,22 +114,13 @@ def comparison_bars_svg(results_dir, schedulers, final_window, out_path) -> None
     """Four panels of final-window means: ATCT, energy, SLA rate, throughput.
     A mean over no values, such as the ATCT of a window that completed no
     task, gets no bar and the label n/a."""
-    panels = [
-        ("atct_s", "ATCT (s)"),
-        ("energy_kwh", "Energy (kWh)"),
-        ("sla_rate", "SLA rate"),
-        ("throughput_per_1000s", "Throughput /1000s"),
-    ]
     data = {}
     for name in schedulers:
-        path = Path(results_dir) / f"{name}.csv"
-        if not path.exists():
-            raise PlotInputError(f"missing results file: {path}")
-        rows = read_episode_csv(path)[-final_window:]
-        data[name] = {key: _mean([float(r[key]) for r in rows if r[key]]) for key, _ in panels}
+        rows = _load_episodes(results_dir, name)[-final_window:]
+        data[name] = {key: _mean([r[key] for r in rows if r[key] is not None]) for key, _ in PANELS}
     body = []
     pw, ph = WIDTH / 2, HEIGHT / 2
-    for pi, (key, label) in enumerate(panels):
+    for pi, (key, label) in enumerate(PANELS):
         ox, oy = (pi % 2) * pw, (pi // 2) * ph
         x0, y0, x1, y1 = ox + 52, oy + 28, ox + pw - 14, oy + ph - 40
         vals = [data[n][key] for n in schedulers]
@@ -127,7 +139,7 @@ def comparison_bars_svg(results_dir, schedulers, final_window, out_path) -> None
             body.append(f'<text x="{bx + bw / 2:.1f}" y="{y1 + 14}" text-anchor="middle">{name}</text>')
             body.append(f'<text x="{bx + bw / 2:.1f}" y="{top - 3:.1f}" text-anchor="middle" '
                         f'font-size="9">{text}</text>')
-    Path(out_path).write_text(_svg(body))
+    write_replacing(out_path, lambda f: f.write(_svg(body)))
 
 
 def improvement_curve_svg(results_dir, out_path) -> None:
@@ -152,7 +164,7 @@ def improvement_curve_svg(results_dir, out_path) -> None:
     body.append(f'<text x="{x0 - 6}" y="{y0 + 4}" text-anchor="end">{ymax:.0f}</text>')
     pts = " ".join(f"{sx(e):.1f},{sy(v):.1f}" for e, v in zip(common, imp))
     body.append(f'<polyline points="{pts}" fill="none" stroke="{COLORS[LEARNER]}" stroke-width="1.5"/>')
-    Path(out_path).write_text(_svg(body))
+    write_replacing(out_path, lambda f: f.write(_svg(body)))
 
 
 def emit_all(results_dir, schedulers, final_window) -> dict[str, str | None]:

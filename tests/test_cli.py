@@ -1,5 +1,6 @@
 """Config parsing, CLI commands, persistence determinism and plot emission."""
 
+import ast
 import errno
 import json
 import operator
@@ -7,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import zipfile
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -17,7 +19,6 @@ from marlsched import experiment
 from marlsched.cli import main
 from marlsched.experiment import (
     ALL_SCHEDULERS,
-    COMPARISON_CSV_COLUMNS,
     EPISODE_CSV_COLUMNS,
     EpisodeResult,
     ExperimentConfig,
@@ -222,11 +223,11 @@ class TestSchedulerTable:
 
 
 class FullDisk:
-    """A file whose writes fail as on a full disk, except a line that starts the
-    header (``first_column``)."""
+    """A file that takes its first ``writes`` writes, such as a CSV header, and
+    fails every later one midway, as on a full disk."""
 
-    def __init__(self, f, first_column):
-        self.f, self.first_column = f, first_column
+    def __init__(self, f, writes):
+        self.f, self.writes = f, writes
 
     def __enter__(self):
         return self
@@ -235,8 +236,10 @@ class FullDisk:
         self.f.close()
 
     def write(self, text):
-        if not text.startswith(self.first_column):
+        if self.writes == 0:
+            self.f.write(text[:len(text) // 2])
             raise OSError(errno.ENOSPC, "No space left on device")
+        self.writes -= 1
         return self.f.write(text)
 
 
@@ -287,7 +290,7 @@ class TestRunScheduler:
             if "w" not in mode:
                 return f
             writes.append(file)
-            return FullDisk(f, EPISODE_CSV_COLUMNS[0]) if len(writes) == 3 else f
+            return FullDisk(f, 1) if len(writes) == 3 else f
 
         run_scheduler(config("full"), "random")
         monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
@@ -298,23 +301,44 @@ class TestRunScheduler:
         assert failed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
         assert sorted(p.name for p in failed.parent.iterdir()) == ["random.csv"]
 
-    def test_failed_comparison_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        """The ``comparison.csv`` rewrite fails after its header, as on a full disk;
-        the previous file stays whole, and no ``.tmp`` file is left beside it."""
+    @pytest.mark.parametrize("artifact", [
+        "random.csv", "comparison.csv", "report.txt", "drl_checkpoint.npz",
+        "learning_curve.svg", "comparison.svg", "improvement.svg",
+    ])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, artifact):
+        """Rewriting a result file fails midway, as on a full disk (the checkpoint
+        in its third zip member); the previous file stays whole, and no ``.tmp``
+        file is left beside it."""
         config = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1,
-                                  schedulers=("random", "minmin"), output_dir=str(tmp_path))
-        compare(config)
-        previous = (tmp_path / "comparison.csv").read_bytes()
+                                  schedulers=("random", "drl"), output_dir=str(tmp_path))
 
-        def open_filling_disk(file, mode="r", *args, **kwargs):
-            f = open(file, mode, *args, **kwargs)
-            return (FullDisk(f, COMPARISON_CSV_COLUMNS[0])
-                    if Path(file).name == "comparison.csv.tmp" else f)
-
-        monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
-        with pytest.raises(OSError, match="No space left on device"):
+        def write_all():
             compare(config)
-        assert (tmp_path / "comparison.csv").read_bytes() == previous
+            emit_all(tmp_path, config.schedulers, config.final_window)
+
+        write_all()
+        previous = (tmp_path / artifact).read_bytes()
+        if artifact.endswith(".npz"):
+            open_member, opened = zipfile.ZipFile.open, []
+
+            def fail_on_third_member(zf, name, *args, **kwargs):
+                opened.append(name)
+                if len(opened) == 3:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return open_member(zf, name, *args, **kwargs)
+
+            monkeypatch.setattr(zipfile.ZipFile, "open", fail_on_third_member)
+        else:
+            header_writes = 1 if artifact.endswith(".csv") else 0
+
+            def open_filling_disk(file, mode="r", *args, **kwargs):
+                f = open(file, mode, *args, **kwargs)
+                return FullDisk(f, header_writes) if Path(file).name == f"{artifact}.tmp" else f
+
+            monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_all()
+        assert (tmp_path / artifact).read_bytes() == previous
         assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("name", ["minmin", "drl"])
@@ -618,10 +642,49 @@ class TestCliPlot:
         with pytest.raises(PlotInputError, match="drl.csv"):
             improvement_curve_svg(tmp_path, tmp_path / "x.svg")
 
+    @pytest.mark.parametrize("text, error", [
+        ("episode,scheduler,atct_s\n0,random,abc\n", "could not convert string to float: 'abc'"),
+        ("episode,scheduler,atct_s\n0,random,12.5\n", "has no 'energy_kwh' column"),
+        (",".join(EPISODE_CSV_COLUMNS) + "\n0,random,nan,0.1,0.5,1.0,3,0.1,0.2\n",
+         "nan is not a finite number"),
+    ], ids=["text-cell", "no-energy-column", "nan-cell"])
+    def test_malformed_csv_fails_each_plot(self, compare_dir, tmp_path, capsys, text, error):
+        """A bad ``random.csv`` beside a good ``drl.csv``: every plot reads it, and
+        each fails on its own with the file named; none is written."""
+        (tmp_path / "drl.csv").write_bytes((compare_dir / "drl.csv").read_bytes())
+        (tmp_path / "random.csv").write_text(text)
+        assert main(["plot", "--scheduler", "random", str(tmp_path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "error (learning_curve.svg)", "error (comparison.svg)", "error (improvement.svg)"]
+        assert all(f"{tmp_path / 'random.csv'}" in line and error in line for line in lines)
+        assert not list(tmp_path.glob("*.svg"))
+
     def test_emit_all_reports_per_plot(self, tmp_path):
         outcomes = emit_all(tmp_path, ("random", "drl"), 2)
         assert set(outcomes) == {"learning_curve.svg", "comparison.svg", "improvement.svg"}
         assert all(v is not None for v in outcomes.values())
+
+
+def test_only_experiment_writes_files():
+    """Result files reach disk through ``experiment``'s ``.tmp``-and-rename writer
+    alone: no other module opens a file, renames or replaces one, or writes or
+    unlinks a ``Path``."""
+    offenders = []
+    for module in sorted(Path(marlsched.__file__).parent.glob("*.py")):
+        if module.name == "experiment.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == "open"
+                    or isinstance(func, ast.Attribute) and (
+                        func.attr in ("write_text", "write_bytes", "unlink")
+                        or func.attr in ("replace", "rename")
+                        and isinstance(func.value, ast.Name) and func.value.id == "os")):
+                offenders.append(f"{module.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_cli_import_does_not_load_scipy():
