@@ -28,10 +28,34 @@ SCHEDULERS = {**{name: lambda config, name=name: BASELINES[name]() for name in B
               LEARNER: lambda config: DrlScheduler(config.master_seed, config.n_nodes, config.hyper)}
 ALL_SCHEDULERS = tuple(SCHEDULERS)
 
-EPISODE_CSV_COLUMNS = [
-    "episode", "scheduler", "atct_s", "energy_kwh", "sla_rate",
-    "throughput_per_1000s", "completed", "load_balance_var", "objective_j",
-]
+
+@dataclass(frozen=True)
+class Metric:
+    """A written ``EpisodeMetrics`` field by ``name``: its episode-CSV column, its cell format
+    and, for a metric compared across schedulers, its comparison.csv stem and plot label."""
+    name: str
+    column: str
+    spec: str
+    stem: str | None = None
+    label: str | None = None
+
+
+METRICS = (
+    Metric("atct", "atct_s", ".6f", "atct_s", "ATCT (s)"),
+    Metric("energy_kwh", "energy_kwh", ".6f", "energy_kwh", "Energy (kWh)"),
+    Metric("sla_rate", "sla_rate", ".6f", "sla_rate", "SLA rate"),
+    Metric("throughput", "throughput_per_1000s", ".6f", "throughput", "Throughput /1000s"),
+    Metric("completed", "completed", "d"),
+    Metric("mean_step_util_variance", "load_balance_var", ".8f"),
+    Metric("objective_j", "objective_j", ".8f"),
+)
+COMPARED = tuple(m for m in METRICS if m.stem)
+EPISODE_CSV_COLUMNS = ["episode", "scheduler", *(m.column for m in METRICS)]
+
+
+def cell(value, spec: str) -> str:
+    """A CSV cell: ``value`` in format ``spec``, or empty where there is no value."""
+    return "" if value is None else format(value, spec)
 
 
 @dataclass
@@ -225,22 +249,13 @@ def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
         w = csv.writer(f)
         w.writerow(EPISODE_CSV_COLUMNS)
         for r in results:
-            m = r.metrics
-            w.writerow([
-                r.episode, r.scheduler,
-                "" if m.atct is None else f"{m.atct:.6f}",
-                f"{m.energy_kwh:.6f}", f"{m.sla_rate:.6f}", f"{m.throughput:.6f}",
-                m.completed, f"{m.mean_step_util_variance:.8f}", f"{m.objective_j:.8f}",
-            ])
+            w.writerow([r.episode, r.scheduler, *(cell(getattr(r.metrics, m.name), m.spec) for m in METRICS)])
     write_replacing(path, write)
 
 
 def read_episode_csv(path) -> list[dict]:
     with open(path, newline="") as f:
         return list(csv.DictReader(f))
-
-
-METRIC_FIELDS = ("atct", "energy_kwh", "sla_rate", "throughput")
 
 
 def compare(config: ExperimentConfig) -> dict:
@@ -253,26 +268,16 @@ def compare(config: ExperimentConfig) -> dict:
     return report
 
 
-def _final_atct(results, k):
-    """ATCT per final-window episode, None where the episode completed no task."""
-    return [r.metrics.atct for r in results[-k:]]
-
-
 def build_comparison(config: ExperimentConfig, all_results: dict[str, list[EpisodeResult]]) -> dict:
     k = config.final_window
     rows = {}
     for name, results in all_results.items():
         row = {"scheduler": name}
-        for metric in METRIC_FIELDS:
-            values = [getattr(r.metrics, metric) for r in results]
-            # ATCT is None in an episode that completed no task; a window of
-            # only such episodes has no mean
-            if any(v is not None for v in values[-k:]):
-                mean, std = aggregate_final(values, k)
-            else:
-                mean = std = None
-            row[f"{metric}_mean"] = mean
-            row[f"{metric}_std"] = std
+        for m in COMPARED:
+            values = [getattr(r.metrics, m.name) for r in results]
+            # ATCT is None in an episode that completed no task; a window of only those has no mean
+            row[f"{m.name}_mean"], row[f"{m.name}_std"] = (
+                aggregate_final(values, k) if any(v is not None for v in values[-k:]) else (None, None))
         completed_mean, _ = aggregate_final([r.metrics.completed for r in results], k)
         row["completed_mean"] = completed_mean
         row["energy_per_completed_kwh"] = (
@@ -286,9 +291,9 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
     improvements = {}
     if LEARNER in all_results:
         baselines = {n: results for n, results in all_results.items() if n != LEARNER}
-        learner_atct = _final_atct(all_results[LEARNER], k)
+        learner_atct = [r.metrics.atct for r in all_results[LEARNER][-k:]]
         for name, results in baselines.items():
-            base_atct = _final_atct(results, k)
+            base_atct = [r.metrics.atct for r in results[-k:]]
             learner_usable, base_usable = ([v for v in side if v is not None]
                                            for side in (learner_atct, base_atct))
             empty = [who for who, usable in ((LEARNER, learner_usable), (name, base_usable)) if not usable]
@@ -315,10 +320,8 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
 
 
 COMPARISON_CSV_COLUMNS = [
-    "scheduler", "atct_s_mean", "atct_s_std", "energy_kwh_mean", "energy_kwh_std",
-    "sla_rate_mean", "sla_rate_std", "throughput_mean", "throughput_std",
-    "completed_mean", "energy_per_completed_kwh", "t_atct_vs_drl", "p_atct_vs_drl",
-    "p_bonferroni",
+    "scheduler", *(f"{m.stem}_{stat}" for m in COMPARED for stat in ("mean", "std")),
+    "completed_mean", "energy_per_completed_kwh", "t_atct_vs_drl", "p_atct_vs_drl", "p_bonferroni",
 ]
 
 
@@ -327,19 +330,11 @@ def write_comparison_csv(path, report: dict) -> None:
         w = csv.writer(f)
         w.writerow(COMPARISON_CSV_COLUMNS)
         for name, row in report["rows"].items():
-            test = report["tests_atct_vs_drl"].get(name)
-            no_atct = row["atct_mean"] is None
+            test = report["tests_atct_vs_drl"].get(name, {})
             w.writerow([
-                name,
-                "" if no_atct else f"{row['atct_mean']:.6f}",
-                "" if no_atct else f"{row['atct_std']:.6f}",
-                f"{row['energy_kwh_mean']:.6f}", f"{row['energy_kwh_std']:.6f}",
-                f"{row['sla_rate_mean']:.6f}", f"{row['sla_rate_std']:.6f}",
-                f"{row['throughput_mean']:.6f}", f"{row['throughput_std']:.6f}",
-                f"{row['completed_mean']:.2f}", f"{row['energy_per_completed_kwh']:.6f}",
-                "" if test is None else f"{test['t']:.6f}",
-                "" if test is None else f"{test['p']:.6g}",
-                "" if test is None else f"{test['p_bonferroni']:.6g}",
+                name, *(cell(row[f"{m.name}_{stat}"], m.spec) for m in COMPARED for stat in ("mean", "std")),
+                cell(row["completed_mean"], ".2f"), cell(row["energy_per_completed_kwh"], ".6f"),
+                cell(test.get("t"), ".6f"), cell(test.get("p"), ".6g"), cell(test.get("p_bonferroni"), ".6g"),
             ])
     write_replacing(path, write)
 

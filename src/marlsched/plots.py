@@ -6,19 +6,14 @@ import csv
 import math
 from pathlib import Path
 
-from .experiment import LEARNER, read_episode_csv, write_replacing
+from .experiment import COMPARED, LEARNER, read_episode_csv, write_replacing
 
 WIDTH, HEIGHT = 640, 400
 MARGIN = 56
 COLORS = {"random": "#7f7f7f", "wrr": "#1f77b4", "minmin": "#2ca02c", "drl": "#d62728"}
 
 # Each comparison panel's episode-CSV column and label; plots read only these and ``episode``.
-PANELS = [
-    ("atct_s", "ATCT (s)"),
-    ("energy_kwh", "Energy (kWh)"),
-    ("sla_rate", "SLA rate"),
-    ("throughput_per_1000s", "Throughput /1000s"),
-]
+PANELS = [(m.column, m.label) for m in COMPARED]
 
 
 class PlotInputError(ValueError):
@@ -181,6 +176,6 @@ def emit_all(results_dir, schedulers, final_window) -> dict[str, str | None]:
         try:
             job(results_dir / fname)
             outcomes[fname] = None
-        except PlotInputError as exc:
+        except (PlotInputError, OSError) as exc:
             outcomes[fname] = str(exc)
     return outcomes

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import marlsched
-from marlsched import experiment
+from marlsched import experiment, plots
 from marlsched.cli import main
 from marlsched.experiment import (
     ALL_SCHEDULERS,
@@ -201,6 +201,34 @@ class TestEpisodeCsv:
         write_episode_csv(out2, results)
         assert out2.read_bytes() == (tmp_path / "random.csv").read_bytes()
 
+    def test_header_lines(self, tmp_path):
+        """Both CSV headers, as literal lines: a column renamed, moved or dropped
+        in the metric table is a contract change."""
+        config = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1,
+                                  schedulers=("random",), output_dir=str(tmp_path))
+        compare(config)
+        assert (tmp_path / "random.csv").read_text().splitlines()[0] == (
+            "episode,scheduler,atct_s,energy_kwh,sla_rate,throughput_per_1000s,completed,"
+            "load_balance_var,objective_j")
+        assert (tmp_path / "comparison.csv").read_text().splitlines()[0] == (
+            "scheduler,atct_s_mean,atct_s_std,energy_kwh_mean,energy_kwh_std,sla_rate_mean,"
+            "sla_rate_std,throughput_mean,throughput_std,completed_mean,energy_per_completed_kwh,"
+            "t_atct_vs_drl,p_atct_vs_drl,p_bonferroni")
+
+    def test_metric_table_schema(self, tmp_path):
+        """Every metric-table row names an ``EpisodeMetrics`` field, once, and every
+        column the plots read is one the episode writer writes."""
+        names = [m.name for m in experiment.METRICS]
+        assert len(set(names)) == len(names)
+        assert set(names) <= {f.name for f in fields(EpisodeMetrics)}
+        config = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=1, final_window=1,
+                                  output_dir=str(tmp_path))
+        run_scheduler(config, "random")
+        written = (tmp_path / "random.csv").read_text().splitlines()[0].split(",")
+        read = plots._load_episodes(tmp_path, "random")[0].keys()
+        assert read == {"episode", *(column for column, _ in plots.PANELS)}
+        assert read <= set(written)
+
 
 class TestSchedulerTable:
     CONFIG = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1)
@@ -308,13 +336,14 @@ class TestRunScheduler:
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, artifact):
         """Rewriting a result file fails midway, as on a full disk (the checkpoint
         in its third zip member); the previous file stays whole, and no ``.tmp``
-        file is left beside it."""
+        file is left beside it. ``compare`` raises the error; ``emit_all`` returns
+        it as the failed plot's outcome."""
         config = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1,
                                   schedulers=("random", "drl"), output_dir=str(tmp_path))
 
         def write_all():
             compare(config)
-            emit_all(tmp_path, config.schedulers, config.final_window)
+            return emit_all(tmp_path, config.schedulers, config.final_window)
 
         write_all()
         previous = (tmp_path / artifact).read_bytes()
@@ -336,8 +365,11 @@ class TestRunScheduler:
                 return FullDisk(f, header_writes) if Path(file).name == f"{artifact}.tmp" else f
 
             monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
-        with pytest.raises(OSError, match="No space left on device"):
-            write_all()
+        if artifact.endswith(".svg"):
+            assert "No space left on device" in write_all()[artifact]
+        else:
+            with pytest.raises(OSError, match="No space left on device"):
+                write_all()
         assert (tmp_path / artifact).read_bytes() == previous
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -659,6 +691,21 @@ class TestCliPlot:
             "error (learning_curve.svg)", "error (comparison.svg)", "error (improvement.svg)"]
         assert all(f"{tmp_path / 'random.csv'}" in line and error in line for line in lines)
         assert not list(tmp_path.glob("*.svg"))
+
+    def test_failed_svg_write_fails_only_its_plot(self, compare_dir, tmp_path, monkeypatch, capsys):
+        """Writing ``learning_curve.svg`` fails as on a full disk: ``plot`` reports
+        that plot, still writes the other two and exits 1."""
+        for name in ALL_SCHEDULERS:
+            (tmp_path / f"{name}.csv").write_bytes((compare_dir / f"{name}.csv").read_bytes())
+
+        def open_filling_disk(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            return FullDisk(f, 0) if Path(file).name == "learning_curve.svg.tmp" else f
+
+        monkeypatch.setattr(experiment, "open", open_filling_disk, raising=False)
+        assert main(["plot", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error (learning_curve.svg): [Errno 28] No space left")
+        assert sorted(p.name for p in tmp_path.glob("*.svg*")) == ["comparison.svg", "improvement.svg"]
 
     def test_emit_all_reports_per_plot(self, tmp_path):
         outcomes = emit_all(tmp_path, ("random", "drl"), 2)

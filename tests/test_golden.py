@@ -8,13 +8,17 @@ both episodes, so its CSV and checkpoint also pin selection, replay and the
 update step. A change to scheduling, the engine, workload generation or the
 learner that moves any byte of these files is a contract change and must
 update the hashes on purpose.
+
+``comparison.csv`` is pinned too, from a seed-42 ``compare`` of all four
+schedulers on a small cluster: it covers the final-window means and standard
+deviations, the Welch and Bonferroni cells and the cell formats.
 """
 
 import hashlib
 
 import pytest
 
-from marlsched.experiment import ExperimentConfig, run_scheduler
+from marlsched.experiment import ExperimentConfig, compare, run_scheduler
 from marlsched.simenv import SimConfig
 
 GOLDEN_SHA256 = {
@@ -37,3 +41,13 @@ def test_episode_csv_bytes(name, tmp_path):
     for fname, digest in GOLDEN_SHA256.items():
         if fname.startswith(name):
             assert hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest() == digest, fname
+
+
+COMPARISON_SHA256 = "70a236aeae7214ea4aa4e12e801db0321a60ae8fadabc7e30280483c6b284c44"
+
+
+def test_comparison_csv_bytes(tmp_path):
+    config = ExperimentConfig(master_seed=42, n_nodes=8, n_tasks=40, episodes=3, final_window=2,
+                              output_dir=str(tmp_path))
+    compare(config)
+    assert hashlib.sha256((tmp_path / "comparison.csv").read_bytes()).hexdigest() == COMPARISON_SHA256
