@@ -87,10 +87,10 @@ def aggregate_final(values: Sequence[float | None], k: int) -> tuple[float, floa
         raise ValueError(f"need at least {k} episodes, got {len(values)}")
     window = values[-k:]
     usable = [v for v in window if v is not None]
-    if len(usable) < len(window):
-        warnings.warn(f"excluding {len(window) - len(usable)} zero-completion episodes from aggregation")
     if not usable:
         raise ValueError("no usable values in the aggregation window")
+    if len(usable) < len(window):
+        warnings.warn(f"excluding {len(window) - len(usable)} zero-completion episodes from aggregation")
     arr = np.asarray(usable, dtype=float)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
     return float(arr.mean()), std

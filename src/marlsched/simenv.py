@@ -11,6 +11,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import islice
 from math import inf
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,7 +91,8 @@ class SimState:
     dropped: list[int] = field(default_factory=list)
     util_variance_sum: float = 0.0
     steps: int = 0
-    _arrival_order: list[int] = field(default_factory=list)
+    # the tasks in arrival order; those before _next_arrival_idx are revealed
+    _arrivals: list[Task] = field(default_factory=list)
     _next_arrival_idx: int = 0
     # load of admitted tasks per node: cores and GB in use
     cpu_in_use: np.ndarray = field(init=False)
@@ -128,7 +130,7 @@ def init_episode(config: SimConfig, tasks: Sequence[Task], nodes: Sequence[NodeS
         tasks={t.id: t for t in tasks},
         nodes=[NodeState() for _ in nodes],
         specs=stack_specs(nodes),
-        _arrival_order=[t.id for t in tasks],
+        _arrivals=list(tasks),
     )
     _reveal_arrivals(state, 0.0)
     return state
@@ -184,18 +186,12 @@ def enqueue_assignment(state: SimState, decisions: Iterable[tuple[int, int]]) ->
 
 
 def _reveal_arrivals(state: SimState, now: float) -> list[int]:
-    arrived = []
-    order = state._arrival_order
-    while state._next_arrival_idx < len(order):
-        tid = order[state._next_arrival_idx]
-        task = state.tasks[tid]
-        if task.arrival <= now:
-            state.pending[tid] = task
-            arrived.append(tid)
-            state._next_arrival_idx += 1
-        else:
-            break
-    return arrived
+    start = state._next_arrival_idx
+    end = bisect_right(state._arrivals, now, start, key=attrgetter("arrival"))
+    state._next_arrival_idx = end
+    arrived = state._arrivals[start:end]
+    state.pending.update((t.id, t) for t in arrived)
+    return [t.id for t in arrived]
 
 
 def advance(state: SimState, dt: float) -> StepReport:

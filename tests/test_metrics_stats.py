@@ -99,6 +99,22 @@ class TestWelch:
         assert t == pytest.approx(-1.2247, abs=1e-3)
         assert p == pytest.approx(0.2879, abs=1e-3)
 
+    def test_unequal_sizes_and_variances_use_welch_df(self):
+        """Sizes 6 and 3 with variances 3.5 and 49: the Welch-Satterthwaite df
+        (about 2.14) is far from Student's pooled n_a + n_b - 2 = 7, whose test
+        gives t -1.91485, p 0.09706 on the same data."""
+        from scipy.stats import t as t_dist
+
+        a, b = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [2.0, 9.0, 16.0]
+        va, vb = np.var(a, ddof=1) / len(a), np.var(b, ddof=1) / len(b)
+        t_ref = (np.mean(a) - np.mean(b)) / np.sqrt(va + vb)
+        df = (va + vb) ** 2 / (va**2 / (len(a) - 1) + vb**2 / (len(b) - 1))
+        p_ref = 2.0 * t_dist.sf(abs(t_ref), df)
+        t, p = welch_t_test(a, b)
+        assert t == pytest.approx(t_ref) and p == pytest.approx(p_ref)
+        assert t == pytest.approx(-1.33723, abs=1e-5)
+        assert p == pytest.approx(0.30532, abs=1e-5)
+
     def test_identical_samples(self):
         t, p = welch_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
         assert t == 0.0 and p == pytest.approx(1.0)

@@ -219,6 +219,10 @@ class TestAdvance:
         assert r2.arrived == []
         r3 = advance(state, 5.0)
         assert r3.arrived == [2]
+        # input order, not id order; a tie on the step boundary arrives with it
+        ts = [task(7, 10.0, arrival=2.0), task(3, 10.0, arrival=5.0), task(5, 10.0, arrival=5.0)]
+        state = init_episode(SimConfig(), ts, [node(0)])
+        assert advance(state, 5.0).arrived == [7, 3, 5]
 
     def test_wrong_dt_rejected(self):
         state = init_episode(SimConfig(), [], [node(0)])
@@ -468,9 +472,9 @@ def reference_advance(state, dt):
     for i in range(state.n_nodes):
         reference_admit(state, i, new_time)
     arrived = []
-    while (state._next_arrival_idx < len(state._arrival_order)
-           and state.tasks[state._arrival_order[state._next_arrival_idx]].arrival <= new_time):
-        arrived.append(state._arrival_order[state._next_arrival_idx])
+    while (state._next_arrival_idx < len(state._arrivals)
+           and state._arrivals[state._next_arrival_idx].arrival <= new_time):
+        arrived.append(state._arrivals[state._next_arrival_idx].id)
         state.pending[arrived[-1]] = state.tasks[arrived[-1]]
         state._next_arrival_idx += 1
     dropped = [tid for tid in state.pending if state.tasks[tid].deadline < new_time]
