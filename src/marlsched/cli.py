@@ -16,13 +16,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Heterogeneous scheduling simulator and experiment runner")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def selection(p):
+    def common(p):
         p.add_argument("--config", type=str, help="JSON config file (flat dotted keys)")
         p.add_argument("--scheduler", type=str, help=f"scheduler name: {'|'.join(ALL_SCHEDULERS)}")
         p.add_argument("--episodes", type=int)
-
-    def common(p):
-        selection(p)
         p.add_argument("--seed", type=int)
         p.add_argument("--nodes", type=int)
         p.add_argument("--tasks", type=int)
@@ -31,9 +28,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("run", help="run episodes for one scheduler"))
     common(sub.add_parser("compare", help="run all schedulers and build the comparison report"))
-    plot = sub.add_parser("plot", help="emit SVG plots from result CSVs")
-    plot.add_argument("results_dir", nargs="?", default=None)
-    selection(plot)
+    plot = sub.add_parser("plot", help="emit SVG plots from a results directory's CSVs and config.json")
+    plot.add_argument("results_dir")
     return parser
 
 
@@ -43,11 +39,11 @@ def config_from_args(args) -> ExperimentConfig:
     if args.episodes is not None:
         overrides["episodes"] = args.episodes
         overrides["final_window"] = min(config.final_window, args.episodes)
-    for flag, key in (("seed", "master_seed"), ("nodes", "n_nodes"), ("tasks", "n_tasks"),
-                      ("out", "output_dir")):
-        if getattr(args, flag, None) is not None:
-            overrides[key] = getattr(args, flag)
-    if getattr(args, "trace", False):
+    for value, key in ((args.seed, "master_seed"), (args.nodes, "n_nodes"), (args.tasks, "n_tasks"),
+                       (args.out, "output_dir")):
+        if value is not None:
+            overrides[key] = value
+    if args.trace:
         overrides["trace"] = True
     if args.scheduler:
         overrides["schedulers"] = (args.scheduler,)
@@ -56,6 +52,8 @@ def config_from_args(args) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "plot":
+        return plot(Path(args.results_dir))
     try:
         config = config_from_args(args)
     except (OSError, ValueError) as exc:
@@ -65,29 +63,32 @@ def main(argv=None) -> int:
     if args.command == "run":
         # --scheduler, else the config's scheduler when it names exactly one, else the learner
         name = config.schedulers[0] if len(config.schedulers) == 1 else LEARNER
-        results = run_scheduler(config, name)
+        results = run_scheduler(replace(config, schedulers=(name,)), name)
         print(f"wrote {Path(config.output_dir) / (name + '.csv')} ({len(results)} episodes)")
         return 0
 
-    if args.command == "compare":
-        compare(config)
-        out = Path(config.output_dir)
-        print(f"wrote {out / 'comparison.csv'} and {out / 'report.txt'}")
-        return 0
+    compare(config)
+    out = Path(config.output_dir)
+    print(f"wrote {out / 'comparison.csv'} and {out / 'report.txt'}")
+    return 0
 
-    if args.command == "plot":
-        results_dir = args.results_dir or config.output_dir
-        outcomes = emit_all(results_dir, config.schedulers, config.final_window)
-        failed = False
-        for fname, err in outcomes.items():
-            if err is None:
-                print(f"wrote {Path(results_dir) / fname}")
-            else:
-                failed = True
-                print(f"error ({fname}): {err}", file=sys.stderr)
-        return 1 if failed else 0
 
-    return 2
+def plot(results_dir: Path) -> int:
+    """Emit every plot for the schedulers and final window that ``config.json`` records."""
+    path = results_dir / "config.json"
+    try:
+        config = ExperimentConfig.from_file(path)
+    except (OSError, ValueError) as exc:
+        print(f"error: {path}: {exc.strerror if isinstance(exc, OSError) else exc}", file=sys.stderr)
+        return 2
+    failed = False
+    for fname, err in emit_all(results_dir, config.schedulers, config.final_window).items():
+        if err is None:
+            print(f"wrote {results_dir / fname}")
+        else:
+            failed = True
+            print(f"error ({fname}): {err}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

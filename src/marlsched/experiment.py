@@ -7,7 +7,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
@@ -121,6 +121,13 @@ class ExperimentConfig:
         return replace(cfg, **updates[""], sim=replace(cfg.sim, **updates["sim."]),
                        hyper=replace(cfg.hyper, **updates["hyper."]))
 
+    def to_flat(self) -> dict:
+        """The flat dotted dict that ``from_flat`` reads, tuples as lists."""
+        flat = asdict(self)
+        for section in ("sim", "hyper"):
+            flat.update({f"{section}.{name}": v for name, v in flat.pop(section).items()})
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in flat.items()}
+
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: an int fits float, a bool only
@@ -208,12 +215,14 @@ def make_scheduler(name: str, config: ExperimentConfig) -> Scheduler:
 def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
     """The full per-scheduler protocol: ``episodes`` episodes in order.
 
-    ``<name>.csv`` is rewritten after every episode, so a run that fails in
-    episode k leaves episodes 0..k-1 on disk. DRL agents learn across
-    episodes, and a checkpoint is written after the final one.
+    ``config.json`` is written first and ``<name>.csv`` is rewritten after every
+    episode, so a run that fails in episode k leaves its config and episodes
+    0..k-1 on disk. DRL agents learn across episodes, and a checkpoint is
+    written after the final one.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    write_replacing(out / "config.json", lambda f: f.write(json.dumps(config.to_flat(), indent=2) + "\n"))
     scheduler = make_scheduler(name, config)
     results = []
     trace_file = open(out / f"{name}_trace.jsonl", "w") if config.trace else None
@@ -341,8 +350,10 @@ def write_comparison_csv(path, report: dict) -> None:
 
 def format_report(report: dict) -> str:
     lines = []
-    k = report["config"].final_window
-    lines.append(f"Scheduler comparison (final {k} episodes)")
+    c = report["config"]
+    lines.append(f"Scheduler comparison: seed {c.master_seed}, {c.n_nodes} nodes, {c.n_tasks} tasks, "
+                 f"arrival rate {c.arrival_rate:g}/s, sim.max_time {c.sim.max_time:g} s, "
+                 f"final {c.final_window} of {c.episodes} episodes")
     lines.append("")
     header = (f"{'Scheduler':<10} {'ATCT (s)':>12} {'Energy (kWh)':>14} {'SLA':>8} "
               f"{'Thr/1000s':>10} {'Completed':>10} {'kWh/task':>10} {'ms/decision':>12}")

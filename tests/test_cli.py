@@ -44,6 +44,15 @@ CONFIG_KEYS = [
     "hyper.grad_clip_norm", "hyper.batch_size", "hyper.replay_capacity", "hyper.w_pi",
 ]
 
+# A valid value other than the default for each settable key, set alone.
+NON_DEFAULT = {
+    "master_seed": 7, "n_nodes": 6, "n_tasks": 20, "episodes": 12, "final_window": 2,
+    "schedulers": ["minmin", "drl"], "arrival_rate": 2.5, "output_dir": "elsewhere", "trace": True,
+    "sim.max_time": 250.0,
+    "hyper.hidden": 16, "hyper.learning_rate": 0.01, "hyper.lr_decay": 0.99, "hyper.gamma": 0.9,
+    "hyper.grad_clip_norm": None, "hyper.batch_size": 8, "hyper.replay_capacity": 100, "hyper.w_pi": 0.0,
+}
+
 # Former settings that are constants now: the workload's priority mix and the step.
 REMOVED_KEYS = ["priority_mix", "sim.dt"]
 
@@ -73,6 +82,7 @@ class TestExperimentConfig:
             + [f"sim.{f.name}" for f in fields(SimConfig)]
             + [f"hyper.{f.name}" for f in fields(Hyperparams)]
         )
+        assert sorted(ExperimentConfig().to_flat()) == sorted(CONFIG_KEYS)
 
     def test_from_flat_with_dotted_keys(self):
         cfg = ExperimentConfig.from_flat({
@@ -100,6 +110,13 @@ class TestExperimentConfig:
     def test_every_key_round_trips_its_default(self, key):
         default = json.loads(json.dumps(operator.attrgetter(key)(ExperimentConfig())))
         assert ExperimentConfig.from_flat({key: default}) == ExperimentConfig()
+
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_every_key_survives_a_round_trip(self, key):
+        """A non-default value survives ``to_flat``, JSON and ``from_flat``."""
+        config = ExperimentConfig.from_flat({key: NON_DEFAULT[key]})
+        assert config != ExperimentConfig()
+        assert ExperimentConfig.from_flat(json.loads(json.dumps(config.to_flat()))) == config
 
     @pytest.mark.parametrize("raw, message", [
         ({"n_nodes": "3"}, 'config key n_nodes must be int, not "3"'),
@@ -243,7 +260,7 @@ class TestSchedulerTable:
     @pytest.mark.parametrize("name", experiment.BASELINES)
     def test_baseline_writes_no_checkpoint(self, tmp_path, name):
         run_scheduler(replace(self.CONFIG, output_dir=str(tmp_path)), name)
-        assert sorted(p.name for p in tmp_path.iterdir()) == [f"{name}.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", f"{name}.csv"]
 
     @pytest.mark.parametrize("name", ALL_SCHEDULERS)
     def test_every_scheduler_has_a_colour(self, name):
@@ -302,11 +319,12 @@ class TestRunScheduler:
         full = (tmp_path / "full" / "random.csv").read_bytes()
         assert [row["episode"] for row in read_episode_csv(crashed)] == ["0", "1"]
         assert crashed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
+        assert ExperimentConfig.from_file(crashed.parent / "config.json") == config("crashed")
 
     def test_failed_rewrite_keeps_finished_episodes(self, tmp_path, monkeypatch):
         """The third CSV rewrite fails after its header, as on a full disk; the
-        file still holds the two episodes written before, and no ``.tmp`` file
-        is left beside it."""
+        file still holds the two episodes written before, the config written
+        first stays, and no ``.tmp`` file is left beside them."""
         def config(out):
             return ExperimentConfig(n_nodes=6, n_tasks=20, episodes=4, final_window=1,
                                     output_dir=str(tmp_path / out))
@@ -315,7 +333,7 @@ class TestRunScheduler:
 
         def open_filling_disk(file, mode="r", *args, **kwargs):
             f = open(file, mode, *args, **kwargs)
-            if "w" not in mode:
+            if "w" not in mode or Path(file).name != "random.csv.tmp":
                 return f
             writes.append(file)
             return FullDisk(f, 1) if len(writes) == 3 else f
@@ -327,11 +345,11 @@ class TestRunScheduler:
         failed = tmp_path / "failed" / "random.csv"
         full = (tmp_path / "full" / "random.csv").read_bytes()
         assert failed.read_bytes().splitlines(keepends=True) == full.splitlines(keepends=True)[:3]
-        assert sorted(p.name for p in failed.parent.iterdir()) == ["random.csv"]
+        assert sorted(p.name for p in failed.parent.iterdir()) == ["config.json", "random.csv"]
 
     @pytest.mark.parametrize("artifact", [
         "random.csv", "comparison.csv", "report.txt", "drl_checkpoint.npz",
-        "learning_curve.svg", "comparison.svg", "improvement.svg",
+        "learning_curve.svg", "comparison.svg", "improvement.svg", "config.json",
     ])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, artifact):
         """Rewriting a result file fails midway, as on a full disk (the checkpoint
@@ -415,6 +433,7 @@ class TestCliRun:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 0
         assert sorted(p.name for p in out.iterdir() if p.suffix == ".csv") == [f"{written}.csv"]
+        assert ExperimentConfig.from_file(out / "config.json").schedulers == (written,)
 
     def test_unknown_scheduler_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--scheduler", "sjf", "--out", str(tmp_path)])
@@ -535,11 +554,14 @@ def compare_dir(tmp_path_factory):
 class TestCliCompare:
     def test_outputs_present(self, compare_dir):
         for fname in ("random.csv", "wrr.csv", "minmin.csv", "drl.csv",
-                      "comparison.csv", "report.txt", "drl_checkpoint.npz"):
+                      "comparison.csv", "report.txt", "drl_checkpoint.npz", "config.json"):
             assert (compare_dir / fname).exists(), fname
 
     def test_report_contents(self, compare_dir):
         report = (compare_dir / "report.txt").read_text()
+        assert report.splitlines()[0] == (
+            "Scheduler comparison: seed 42, 8 nodes, 40 tasks, arrival rate 0.5/s, "
+            "sim.max_time 10000 s, final 2 of 3 episodes")
         for name in ("random", "wrr", "minmin", "drl"):
             assert name in report
         assert "Welch" in report and "ms/decision" in report
@@ -650,10 +672,35 @@ class TestCliPlot:
         for name in ("random", "wrr", "minmin", "drl"):
             assert f">{name}</text>" in svg
 
+    def test_bars_are_the_comparison_means(self, compare_dir):
+        """The bars average the final window that ``config.json`` records (2 of 3
+        episodes), so every label is its ``comparison.csv`` mean."""
+        assert main(["plot", str(compare_dir)]) == 0
+        labels = re.findall(r'font-size="9">([^<]*)</text>', (compare_dir / "comparison.svg").read_text())
+        rows = read_episode_csv(compare_dir / "comparison.csv")
+        assert labels == [format(float(row[f"{m.stem}_mean"]), ".3g")
+                          for m in experiment.COMPARED for row in rows]
+
+    @pytest.mark.parametrize("text, error", [
+        (None, "No such file or directory"),
+        ("{", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ('{"bogus": 1}', "unknown config key: bogus"),
+    ], ids=["missing", "not-json", "unknown-key"])
+    def test_missing_or_invalid_config_exits_2(self, compare_dir, tmp_path, capsys, text, error):
+        """CSVs beside no usable ``config.json``: one error line naming it, and no
+        plot written; ``plot`` does not fall back to the defaults."""
+        for name in ALL_SCHEDULERS:
+            (tmp_path / f"{name}.csv").write_bytes((compare_dir / f"{name}.csv").read_bytes())
+        if text is not None:
+            (tmp_path / "config.json").write_text(text)
+        assert main(["plot", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / 'config.json'}: {error}\n"
+        assert not list(tmp_path.glob("*.svg*"))
+
     def test_missing_input_partial_failure(self, compare_dir, tmp_path, capsys):
         partial = tmp_path / "partial"
         partial.mkdir()
-        for name in ("random.csv", "wrr.csv", "minmin.csv"):
+        for name in ("random.csv", "wrr.csv", "minmin.csv", "config.json"):
             (partial / name).write_bytes((compare_dir / name).read_bytes())
         rc = main(["plot", str(partial)])
         assert rc == 1
@@ -662,9 +709,11 @@ class TestCliPlot:
         assert (partial / "learning_curve.svg").exists()
         assert not (partial / "improvement.svg").exists()
 
-    @pytest.mark.parametrize("flag", ["--seed 5", "--nodes 3", "--tasks 2", "--trace", "--out x"])
+    @pytest.mark.parametrize("flag", ["--seed 5", "--nodes 3", "--tasks 2", "--trace", "--out x",
+                                      "--config x", "--scheduler drl", "--episodes 2"])
     def test_run_flags_rejected(self, tmp_path, capsys, flag):
-        """plot reads only the result CSVs, so the flags that shape a run are not options."""
+        """plot reads the result CSVs and the run's ``config.json`` only, so the
+        flags that shape or select a run are not options."""
         with pytest.raises(SystemExit) as exc:
             main(["plot", *flag.split(), str(tmp_path)])
         assert exc.value.code == 2
@@ -685,7 +734,8 @@ class TestCliPlot:
         each fails on its own with the file named; none is written."""
         (tmp_path / "drl.csv").write_bytes((compare_dir / "drl.csv").read_bytes())
         (tmp_path / "random.csv").write_text(text)
-        assert main(["plot", "--scheduler", "random", str(tmp_path)]) == 1
+        (tmp_path / "config.json").write_text(json.dumps({"schedulers": ["random"]}))
+        assert main(["plot", str(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in lines] == [
             "error (learning_curve.svg)", "error (comparison.svg)", "error (improvement.svg)"]
@@ -695,8 +745,8 @@ class TestCliPlot:
     def test_failed_svg_write_fails_only_its_plot(self, compare_dir, tmp_path, monkeypatch, capsys):
         """Writing ``learning_curve.svg`` fails as on a full disk: ``plot`` reports
         that plot, still writes the other two and exits 1."""
-        for name in ALL_SCHEDULERS:
-            (tmp_path / f"{name}.csv").write_bytes((compare_dir / f"{name}.csv").read_bytes())
+        for name in [*(f"{n}.csv" for n in ALL_SCHEDULERS), "config.json"]:
+            (tmp_path / name).write_bytes((compare_dir / name).read_bytes())
 
         def open_filling_disk(file, mode="r", *args, **kwargs):
             f = open(file, mode, *args, **kwargs)
