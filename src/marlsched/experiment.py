@@ -215,14 +215,22 @@ def make_scheduler(name: str, config: ExperimentConfig) -> Scheduler:
 def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
     """The full per-scheduler protocol: ``episodes`` episodes in order.
 
-    ``config.json`` is written first and ``<name>.csv`` is rewritten after every
-    episode, so a run that fails in episode k leaves its config and episodes
-    0..k-1 on disk. DRL agents learn across episodes, and a checkpoint is
-    written after the final one.
+    ``config.json`` is written first and ``<name>.csv`` is rewritten after every episode, so a
+    run that fails in episode k leaves its config and episodes 0..k-1 on disk; a ``config.json``
+    that differs only in its schedulers keeps the ones it lists, in ``ALL_SCHEDULERS`` order.
+    DRL agents learn across episodes, and a checkpoint is written after the final one.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_replacing(out / "config.json", lambda f: f.write(json.dumps(config.to_flat(), indent=2) + "\n"))
+    try:
+        kept = ExperimentConfig.from_file(out / "config.json")
+    except (OSError, ValueError):
+        kept = config
+    names = config.schedulers
+    if replace(kept, schedulers=names) == config and not set(kept.schedulers) <= set(names):
+        names = tuple(n for n in ALL_SCHEDULERS if n in kept.schedulers + names)
+    write_replacing(out / "config.json", lambda f: f.write(
+        json.dumps(replace(config, schedulers=names).to_flat(), indent=2) + "\n"))
     scheduler = make_scheduler(name, config)
     results = []
     trace_file = open(out / f"{name}_trace.jsonl", "w") if config.trace else None
@@ -267,25 +275,35 @@ def read_episode_csv(path) -> list[dict]:
         return list(csv.DictReader(f))
 
 
-def compare(config: ExperimentConfig) -> dict:
-    """Run every configured scheduler and build the cross-scheduler report."""
+def compare(config: ExperimentConfig) -> dict[str, dict]:
+    """Run every configured scheduler and write the comparison rows as CSV and report."""
     all_results = {name: run_scheduler(config, name) for name in config.schedulers}
-    report = build_comparison(config, all_results)
+    rows = build_comparison(config, all_results)
     out = Path(config.output_dir)
-    write_comparison_csv(out / "comparison.csv", report)
-    write_replacing(out / "report.txt", lambda f: f.write(format_report(report)))
-    return report
+    write_comparison_csv(out / "comparison.csv", rows)
+    write_replacing(out / "report.txt", lambda f: f.write(format_report(config, rows)))
+    return rows
 
 
-def build_comparison(config: ExperimentConfig, all_results: dict[str, list[EpisodeResult]]) -> dict:
+# comparison.csv's columns and cell formats; a row holds no value for a test that did not run
+COMPARISON_COLUMNS = (
+    ("scheduler", "s"), *((f"{m.stem}_{stat}", m.spec) for m in COMPARED for stat in ("mean", "std")),
+    ("completed_mean", ".2f"), ("energy_per_completed_kwh", ".6f"),
+    ("t_atct_vs_drl", ".6f"), ("p_atct_vs_drl", ".6g"), ("p_bonferroni", ".6g"),
+)
+
+
+def build_comparison(config: ExperimentConfig, all_results: dict[str, list[EpisodeResult]]) -> dict[str, dict]:
+    """One row per scheduler in ``all_results`` order, keyed by ``COMPARISON_COLUMNS`` and ``mean_decision_ms``;
+    a baseline's row also holds why its Welch test was ``skipped``, or its ``improvement`` as (mean, CI)."""
     k = config.final_window
     rows = {}
     for name, results in all_results.items():
-        row = {"scheduler": name}
+        row = rows[name] = {"scheduler": name}
         for m in COMPARED:
             values = [getattr(r.metrics, m.name) for r in results]
             # ATCT is None in an episode that completed no task; a window of only those has no mean
-            row[f"{m.name}_mean"], row[f"{m.name}_std"] = (
+            row[f"{m.stem}_mean"], row[f"{m.stem}_std"] = (
                 aggregate_final(values, k) if any(v is not None for v in values[-k:]) else (None, None))
         completed_mean, _ = aggregate_final([r.metrics.completed for r in results], k)
         row["completed_mean"] = completed_mean
@@ -293,75 +311,55 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
             row["energy_kwh_mean"] / completed_mean if completed_mean else float("inf")
         )
         row["mean_decision_ms"] = sum(r.mean_decision_ms for r in results) / len(results)
-        rows[name] = row
 
-    tests = {}
-    skipped = {}
-    improvements = {}
-    if LEARNER in all_results:
-        baselines = {n: results for n, results in all_results.items() if n != LEARNER}
+    if LEARNER in rows:
+        baselines = {name: row for name, row in rows.items() if name != LEARNER}
         learner_atct = [r.metrics.atct for r in all_results[LEARNER][-k:]]
-        for name, results in baselines.items():
-            base_atct = [r.metrics.atct for r in results[-k:]]
+        for name, row in baselines.items():
+            base_atct = [r.metrics.atct for r in all_results[name][-k:]]
             learner_usable, base_usable = ([v for v in side if v is not None]
                                            for side in (learner_atct, base_atct))
             empty = [who for who, usable in ((LEARNER, learner_usable), (name, base_usable)) if not usable]
             if empty:
-                skipped[name] = (f"no task completed in the final-window episodes of "
-                                 f"{' and '.join(empty)}, so there is no ATCT for "
-                                 f"the Welch test or the improvement CI")
+                row["skipped"] = (f"no task completed in the final-window episodes of "
+                                  f"{' and '.join(empty)}, so there is no ATCT for "
+                                  f"the Welch test or the improvement CI")
             elif min(len(learner_usable), len(base_usable)) < 2:
-                skipped[name] = (f"Welch needs 2 final-window ATCT values per side, got "
-                                 f"{len(learner_usable)} ({LEARNER}) and {len(base_usable)} ({name})")
+                row["skipped"] = (f"Welch needs 2 final-window ATCT values per side, got "
+                                  f"{len(learner_usable)} ({LEARNER}) and {len(base_usable)} ({name})")
             else:
                 t, p = welch_t_test(learner_usable, base_usable)
-                tests[name] = {"t": t, "p": p, "p_bonferroni": bonferroni(p, len(baselines))}
+                row.update(t_atct_vs_drl=t, p_atct_vs_drl=p, p_bonferroni=bonferroni(p, len(baselines)))
             # per-episode relative ATCT improvement of the learner over the baseline,
             # over the episodes in which both completed a task
             rel = [(b - d) / b for d, b in zip(learner_atct, base_atct) if d is not None and b]
             if len(rel) >= 2:
-                improvements[name] = {
-                    "mean": sum(rel) / len(rel),
-                    "ci95": confidence_interval_95(rel),
-                }
-    return {"config": config, "rows": rows, "tests_atct_vs_drl": tests,
-            "tests_skipped": skipped, "improvement_over": improvements}
+                row["improvement"] = (sum(rel) / len(rel), confidence_interval_95(rel))
+    return rows
 
 
-COMPARISON_CSV_COLUMNS = [
-    "scheduler", *(f"{m.stem}_{stat}" for m in COMPARED for stat in ("mean", "std")),
-    "completed_mean", "energy_per_completed_kwh", "t_atct_vs_drl", "p_atct_vs_drl", "p_bonferroni",
-]
-
-
-def write_comparison_csv(path, report: dict) -> None:
+def write_comparison_csv(path, rows: dict[str, dict]) -> None:
     def write(f):
         w = csv.writer(f)
-        w.writerow(COMPARISON_CSV_COLUMNS)
-        for name, row in report["rows"].items():
-            test = report["tests_atct_vs_drl"].get(name, {})
-            w.writerow([
-                name, *(cell(row[f"{m.name}_{stat}"], m.spec) for m in COMPARED for stat in ("mean", "std")),
-                cell(row["completed_mean"], ".2f"), cell(row["energy_per_completed_kwh"], ".6f"),
-                cell(test.get("t"), ".6f"), cell(test.get("p"), ".6g"), cell(test.get("p_bonferroni"), ".6g"),
-            ])
+        w.writerow([column for column, _ in COMPARISON_COLUMNS])
+        for row in rows.values():
+            w.writerow([cell(row.get(column), spec) for column, spec in COMPARISON_COLUMNS])
     write_replacing(path, write)
 
 
-def format_report(report: dict) -> str:
+def format_report(config: ExperimentConfig, rows: dict[str, dict]) -> str:
     lines = []
-    c = report["config"]
-    lines.append(f"Scheduler comparison: seed {c.master_seed}, {c.n_nodes} nodes, {c.n_tasks} tasks, "
-                 f"arrival rate {c.arrival_rate:g}/s, sim.max_time {c.sim.max_time:g} s, "
-                 f"final {c.final_window} of {c.episodes} episodes")
+    lines.append(f"Scheduler comparison: seed {config.master_seed}, {config.n_nodes} nodes, "
+                 f"{config.n_tasks} tasks, arrival rate {config.arrival_rate:g}/s, sim.max_time "
+                 f"{config.sim.max_time:g} s, final {config.final_window} of {config.episodes} episodes")
     lines.append("")
     header = (f"{'Scheduler':<10} {'ATCT (s)':>12} {'Energy (kWh)':>14} {'SLA':>8} "
               f"{'Thr/1000s':>10} {'Completed':>10} {'kWh/task':>10} {'ms/decision':>12}")
     lines.append(header)
     lines.append("-" * len(header))
-    for name, row in report["rows"].items():
-        atct = ("n/a" if row["atct_mean"] is None
-                else f"{row['atct_mean']:>7.2f}±{row['atct_std']:<4.2f}")
+    for name, row in rows.items():
+        atct = ("n/a" if row["atct_s_mean"] is None
+                else f"{row['atct_s_mean']:>7.2f}±{row['atct_s_std']:<4.2f}")
         lines.append(
             f"{name:<10} {atct:>12} "
             f"{row['energy_kwh_mean']:>8.3f}±{row['energy_kwh_std']:<5.3f} "
@@ -369,18 +367,20 @@ def format_report(report: dict) -> str:
             f"{row['completed_mean']:>10.1f} {row['energy_per_completed_kwh']:>10.5f} "
             f"{row['mean_decision_ms']:>12.3f}"
         )
-    if report["tests_atct_vs_drl"] or report["tests_skipped"]:
+    tested = [(name, row) for name, row in rows.items() if "p_atct_vs_drl" in row]
+    skipped = [(name, row["skipped"]) for name, row in rows.items() if "skipped" in row]
+    if tested or skipped:
         lines.append("")
         lines.append(f"ATCT tests vs {LEARNER} (Welch, two-sided; Bonferroni-corrected alongside raw):")
-        for name, test in report["tests_atct_vs_drl"].items():
-            lines.append(f"  {LEARNER} vs {name:<8} t={test['t']:+.3f}  p={test['p']:.4g}  "
-                         f"p_bonf={test['p_bonferroni']:.4g}")
-        for name, reason in report["tests_skipped"].items():
+        for name, row in tested:
+            lines.append(f"  {LEARNER} vs {name:<8} t={row['t_atct_vs_drl']:+.3f}  p={row['p_atct_vs_drl']:.4g}  "
+                         f"p_bonf={row['p_bonferroni']:.4g}")
+        for name, reason in skipped:
             lines.append(f"  {LEARNER} vs {name:<8} skipped: {reason}")
-    if report["improvement_over"]:
+    improvements = [(name, row["improvement"]) for name, row in rows.items() if "improvement" in row]
+    if improvements:
         lines.append("")
         lines.append(f"Relative ATCT improvement of {LEARNER} (95% CI over paired episodes):")
-        for name, imp in report["improvement_over"].items():
-            lo, hi = imp["ci95"]
-            lines.append(f"  over {name:<8} {imp['mean']*100:+.1f}%  CI [{lo*100:+.1f}%, {hi*100:+.1f}%]")
+        for name, (mean, (lo, hi)) in improvements:
+            lines.append(f"  over {name:<8} {mean*100:+.1f}%  CI [{lo*100:+.1f}%, {hi*100:+.1f}%]")
     return "\n".join(lines) + "\n"

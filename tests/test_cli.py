@@ -24,9 +24,11 @@ from marlsched.experiment import (
     ExperimentConfig,
     build_comparison,
     compare,
+    format_report,
     make_scheduler,
     read_episode_csv,
     run_scheduler,
+    write_comparison_csv,
     write_episode_csv,
 )
 from marlsched.marl import DrlScheduler, Hyperparams
@@ -435,6 +437,21 @@ class TestCliRun:
         assert sorted(p.name for p in out.iterdir() if p.suffix == ".csv") == [f"{written}.csv"]
         assert ExperimentConfig.from_file(out / "config.json").schedulers == (written,)
 
+    @pytest.mark.parametrize("second, kept", [([], ["random", "drl"]), (["--seed", "7"], ["random"])],
+                             ids=["same-config", "other-seed"])
+    def test_second_run_keeps_the_first_scheduler(self, tmp_path, second, kept):
+        """A second ``run`` into one directory keeps the first run's scheduler in
+        ``config.json`` when every other value matches, so ``plot`` draws both
+        curves; with another seed the directory's config is the second run's."""
+        flags = ["--nodes", "4", "--tasks", "10", "--episodes", "2", "--out", str(tmp_path)]
+        assert main(["run", "--scheduler", "drl", *flags]) == 0
+        assert main(["run", "--scheduler", "random", *flags, *second]) == 0
+        assert json.loads((tmp_path / "config.json").read_text())["schedulers"] == kept
+        assert main(["plot", str(tmp_path)]) == 0
+        curves = (tmp_path / "learning_curve.svg").read_text()
+        assert curves.count("<polyline ") == len(kept)
+        assert re.findall(r'">(\w+)</text>', curves)[-len(kept):] == kept
+
     def test_unknown_scheduler_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--scheduler", "sjf", "--out", str(tmp_path)])
         assert rc == 2
@@ -639,24 +656,45 @@ class TestBuildComparison:
         """An episode where drl completed nothing drops out of the pairs; the
         later episodes keep their own baseline partners."""
         with pytest.warns(UserWarning, match="excluding 1 zero-completion episodes"):
-            report = build_comparison(self.CONFIG, {
+            rows = build_comparison(self.CONFIG, {
                 "random": fake_results("random", [9.0, 11.0, 13.0]),
                 "drl": fake_results("drl", [None, 10.0, 12.0]),
             })
-        assert report["improvement_over"]["random"]["mean"] == pytest.approx(
+        assert rows["random"]["improvement"][0] == pytest.approx(
             (1.0 / 11.0 + 1.0 / 13.0) / 2.0)
-        assert "random" in report["tests_atct_vs_drl"]
+        assert "p_atct_vs_drl" in rows["random"]
 
     def test_baseline_without_completions_skips_its_tests(self):
-        report = build_comparison(self.CONFIG, {
+        rows = build_comparison(self.CONFIG, {
             "random": fake_results("random", [None, None, None]),
             "drl": fake_results("drl", [8.0, 10.0, 12.0]),
         })
-        assert report["rows"]["random"]["atct_mean"] is None
-        assert report["rows"]["drl"]["atct_mean"] == pytest.approx(10.0)
-        assert report["tests_atct_vs_drl"] == {} and report["improvement_over"] == {}
-        assert report["tests_skipped"]["random"].startswith(
+        assert rows["random"]["atct_s_mean"] is None
+        assert rows["drl"]["atct_s_mean"] == pytest.approx(10.0)
+        assert "p_atct_vs_drl" not in rows["random"] and "improvement" not in rows["random"]
+        assert rows["random"]["skipped"].startswith(
             "no task completed in the final-window episodes of random,")
+
+    def test_mixed_window_reports_tested_then_skipped(self, tmp_path):
+        """wrr's window is tested and random's, which completed nothing, is skipped:
+        the report lists the test before the skip and gives only wrr an improvement
+        line, and random's test cells in comparison.csv are empty."""
+        config = ExperimentConfig(episodes=3, final_window=3, schedulers=("random", "wrr", "drl"))
+        rows = build_comparison(config, {
+            "random": fake_results("random", [None, None, None]),
+            "wrr": fake_results("wrr", [9.0, 11.0, 14.0]),
+            "drl": fake_results("drl", [8.0, 10.0, 12.0]),
+        })
+        report = format_report(config, rows)
+        tested = re.search(r"^  drl vs wrr +t=[+-]\d+\.\d{3}  p=\S+  p_bonf=\S+$", report, re.MULTILINE)
+        skipped = report.index("  drl vs random   skipped: no task completed")
+        assert tested and tested.start() < skipped
+        assert re.findall(r"^  over (\S+)", report, re.MULTILINE) == ["wrr"]
+        write_comparison_csv(tmp_path / "comparison.csv", rows)
+        csv_rows = {r["scheduler"]: r for r in read_episode_csv(tmp_path / "comparison.csv")}
+        assert csv_rows["random"]["t_atct_vs_drl"] == csv_rows["random"]["p_atct_vs_drl"] == ""
+        assert csv_rows["random"]["p_bonferroni"] == ""
+        assert csv_rows["wrr"]["t_atct_vs_drl"] and csv_rows["wrr"]["p_bonferroni"]
 
 
 class TestCliPlot:
