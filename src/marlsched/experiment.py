@@ -9,11 +9,10 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from types import UnionType
 from typing import Sequence, get_args, get_origin, get_type_hints
 
 from .cluster import generate_cluster
-from .marl import DrlScheduler, Hyperparams, save_checkpoint
+from .marl import DrlScheduler, save_checkpoint
 from .metrics import EpisodeMetrics, aggregate_final, summarize_episode
 from .rng import derive_stream
 from .schedulers import BASELINES, Scheduler
@@ -25,7 +24,7 @@ from .workload import DEFAULT_ARRIVAL_RATE, generate_workload
 # up in BASELINES when built; the learner is compared with the rest and writes a checkpoint.
 LEARNER = DrlScheduler.name
 SCHEDULERS = {**{name: lambda config, name=name: BASELINES[name]() for name in BASELINES},
-              LEARNER: lambda config: DrlScheduler(config.master_seed, config.n_nodes, config.hyper)}
+              LEARNER: lambda config: DrlScheduler(config.master_seed, config.n_nodes)}
 ALL_SCHEDULERS = tuple(SCHEDULERS)
 
 
@@ -68,7 +67,6 @@ class ExperimentConfig:
     schedulers: tuple[str, ...] = ALL_SCHEDULERS
     arrival_rate: float = DEFAULT_ARRIVAL_RATE
     sim: SimConfig = field(default_factory=SimConfig)
-    hyper: Hyperparams = field(default_factory=Hyperparams)
     output_dir: str = "results"
     trace: bool = False
 
@@ -92,21 +90,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Flat JSON with dotted keys for the nested sim/hyper sections."""
+        """Flat JSON with dotted keys for the nested sim section."""
         with open(path) as f:
             raw = json.load(f)
         return cls.from_flat(raw)
 
     @classmethod
     def from_flat(cls, raw: dict) -> "ExperimentConfig":
-        """Top-level keys by name, ``sim.<field>`` and ``hyper.<field>`` for the nested
-        sections; an unknown key, or a value that does not ``_fits``, is a ``ValueError``."""
+        """Top-level keys by name and ``sim.<field>`` for the nested section; an unknown
+        key, or a value that does not ``_fits``, is a ``ValueError``."""
         if not isinstance(raw, dict):
             raise ValueError(f"config must be a JSON object, not {json.dumps(raw)}")
         cfg = cls()
-        hints = {"": get_type_hints(cls), "sim.": get_type_hints(SimConfig),
-                 "hyper.": get_type_hints(Hyperparams)}
-        del hints[""]["sim"], hints[""]["hyper"]
+        hints = {"": get_type_hints(cls), "sim.": get_type_hints(SimConfig)}
+        del hints[""]["sim"]
         updates = {prefix: {} for prefix in hints}
         for key, value in raw.items():
             section, dot, name = key.rpartition(".")
@@ -118,23 +115,18 @@ class ExperimentConfig:
                         else getattr(hint, "__name__", hint))
                 raise ValueError(f"config key {key} must be {kind}, not {json.dumps(value)}")
             updates[section + dot][name] = tuple(value) if isinstance(value, list) else value
-        return replace(cfg, **updates[""], sim=replace(cfg.sim, **updates["sim."]),
-                       hyper=replace(cfg.hyper, **updates["hyper."]))
+        return replace(cfg, **updates[""], sim=replace(cfg.sim, **updates["sim."]))
 
     def to_flat(self) -> dict:
         """The flat dotted dict that ``from_flat`` reads, tuples as lists."""
         flat = asdict(self)
-        for section in ("sim", "hyper"):
-            flat.update({f"{section}.{name}": v for name, v in flat.pop(section).items()})
+        flat.update({f"sim.{name}": v for name, v in flat.pop("sim").items()})
         return {key: list(v) if isinstance(v, tuple) else v for key, v in flat.items()}
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation: an int fits float, a bool only
-    bool, null only an annotation allowing None, a list a tuple of its element type;
-    NaN and ±Infinity fit nothing."""
-    if isinstance(hint, UnionType):
-        return any(_fits(value, h) for h in get_args(hint))
+    bool, a list a tuple of its element type; null, NaN and ±Infinity fit nothing."""
     if get_origin(hint) is tuple:
         return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
     if isinstance(value, float) and not math.isfinite(value):

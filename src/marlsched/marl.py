@@ -24,33 +24,15 @@ from .simenv import OBS_DIM, SimState, StepReport, build_observation, feasible_n
 from .workload import Task
 from .cluster import MAX_CPU_CAPACITY, MAX_MEM_CAPACITY
 
-
-@dataclass
-class Hyperparams:
-    hidden: int = 128
-    learning_rate: float = 0.001
-    lr_decay: float = 0.9995
-    gamma: float = 0.99
-    replay_capacity: int = 10_000
-    batch_size: int = 32
-    # cap on the global gradient norm per update; None disables clipping.
-    # Step rewards reach the hundreds, so raw TD errors blow up plain SGD.
-    grad_clip_norm: float | None = 10.0
-    # weight of the learned policy term in the assignment score; 0 drops it
-    w_pi: float = 0.25
-
-    def __post_init__(self):
-        for name in ("hidden", "replay_capacity", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"hyper.{name} must be >= 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"hyper.learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 < self.lr_decay <= 1:
-            raise ValueError(f"hyper.lr_decay must be in (0, 1], got {self.lr_decay}")
-        if not 0 <= self.gamma <= 1:
-            raise ValueError(f"hyper.gamma must be in [0, 1], got {self.gamma}")
-        if self.grad_clip_norm is not None and not self.grad_clip_norm > 0:
-            raise ValueError(f"hyper.grad_clip_norm must be > 0 or null, got {self.grad_clip_norm}")
+HIDDEN = 128              # hidden units of every agent's network
+LEARNING_RATE = 0.001     # every agent's initial step size
+LR_DECAY = 0.9995         # multiplies an agent's step size after each of its updates
+GAMMA = 0.99
+REPLAY_CAPACITY = 10_000  # transitions kept per agent
+BATCH_SIZE = 32
+# Cap on the global gradient norm per update. Step rewards reach the hundreds,
+# so raw TD errors blow up plain SGD.
+GRAD_CLIP_NORM = 10.0
 
 
 @dataclass
@@ -76,23 +58,23 @@ def expected_param_count(obs_dim: int, hidden: int, n_actions: int) -> int:
     return obs_dim * hidden + hidden + hidden * n_actions + n_actions + hidden + 1
 
 
-def init_agents(streams: Sequence[np.random.Generator], h: Hyperparams, obs_dim: int,
+def init_agents(streams: Sequence[np.random.Generator], obs_dim: int, hidden: int,
                 n_actions: int) -> AgentParams:
     """A population with agent i drawn from ``streams[i]``: scaled-uniform
     weights (limit sqrt(2/fan_in)) drawn W1, W2, Wv in that order straight
     into arrays allocated up front, and zero biases."""
     n = len(streams)
     agents = AgentParams(
-        W1=np.empty((n, h.hidden, obs_dim)),
-        b1=np.zeros((n, h.hidden)),
-        W2=np.empty((n, n_actions, h.hidden)),
+        W1=np.empty((n, hidden, obs_dim)),
+        b1=np.zeros((n, hidden)),
+        W2=np.empty((n, n_actions, hidden)),
         b2=np.zeros((n, n_actions)),
-        Wv=np.empty((n, h.hidden)),
+        Wv=np.empty((n, hidden)),
         bv=np.zeros(n),
-        current_lr=np.full(n, h.learning_rate),
+        current_lr=np.full(n, LEARNING_RATE),
     )
     for s, W1, W2, Wv in zip(streams, agents.W1, agents.W2, agents.Wv):
-        for w, fan_in in ((W1, obs_dim), (W2, h.hidden), (Wv, h.hidden)):
+        for w, fan_in in ((W1, obs_dim), (W2, hidden), (Wv, hidden)):
             w[...] = s.random(w.size).reshape(w.shape)
             w *= 2.0
             w -= 1.0
@@ -134,6 +116,8 @@ def priority_score(task: Task, now: float) -> float:
     return URGENCY_CLASS * (3 - task.priority) + URGENCY_SLACK * slack + URGENCY_RESOURCE * resource
 
 
+# weight of the learned policy term in the assignment score, then of its heuristic terms
+W_PI = 0.25
 W_LOAD, W_MEM, W_COMPAT = 0.30, 0.20, 0.15
 
 
@@ -143,14 +127,13 @@ def assignment_score(
     mem_fraction: float,
     task: Task,
     cpu_capacity: float,
-    h: Hyperparams,
 ) -> float:
     """Hybrid per-(task, node) score: learned preference plus load, memory
     headroom and size compatibility terms. Given arrays over nodes, it scores
     each node."""
     compat = np.clip(1.0 - np.abs(task.cpu / cpu_capacity - 0.5), 0.0, 1.0)
     return (
-        h.w_pi * policy_value_for_node
+        W_PI * policy_value_for_node
         + W_LOAD * (1.0 - utilization)
         + W_MEM * (1.0 - mem_fraction)
         + W_COMPAT * compat
@@ -162,7 +145,6 @@ def select_assignments(
     pending: Sequence[Task],
     self_probs: Callable[[], np.ndarray],
     s: np.random.Generator,
-    h: Hyperparams,
     explore_epsilon: float,
 ) -> list[SchedulerDecision]:
     """Place pending tasks in descending urgency order; a task with no
@@ -190,7 +172,7 @@ def select_assignments(
         else:
             if probs is None:
                 probs = self_probs()
-            scores = assignment_score(probs, util, mem_frac, task, cpu_capacity, h)
+            scores = assignment_score(probs, util, mem_frac, task, cpu_capacity)
             chosen = feas[int(scores[feas].argmax())]   # feas ascends: ties to the lowest id
         util[chosen] += task.cpu / cpu_capacity[chosen]
         mem_frac[chosen] += task.mem / mem_capacity[chosen]
@@ -293,7 +275,7 @@ class ReplayBuffer:
 
 
 def apply_update(agents: AgentParams, i: int, batch: Experience, gamma: float,
-                 grad_clip_norm: float | None, lr_decay: float) -> None:
+                 grad_clip_norm: float, lr_decay: float) -> None:
     """One averaged semi-gradient step of agent ``i`` of the population: policy
     ascent on log-prob times advantage, value descent on squared TD error; then
     decay its rate by ``lr_decay``. Agent i's rows are updated in place."""
@@ -336,12 +318,11 @@ def apply_update(agents: AgentParams, i: int, batch: Experience, gamma: float,
     for g in grads:
         if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient")
-    if grad_clip_norm is not None:
-        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads) + d_bv * d_bv)
-        if norm > grad_clip_norm:
-            scale = grad_clip_norm / norm
-            d_w1, d_b1, d_w2, d_b2, d_wv = (g * scale for g in grads)
-            d_bv *= scale
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads) + d_bv * d_bv)
+    if norm > grad_clip_norm:
+        scale = grad_clip_norm / norm
+        d_w1, d_b1, d_w2, d_b2, d_wv = (g * scale for g in grads)
+        d_bv *= scale
 
     lr = agents.current_lr.item(i)
     W1 -= lr * d_w1
@@ -393,14 +374,13 @@ class DrlScheduler(Scheduler):
 
     name = "drl"
 
-    def __init__(self, master_seed: int, n_nodes: int, h: Hyperparams | None = None, train: bool = True):
-        self.h = h or Hyperparams()
+    def __init__(self, master_seed: int, n_nodes: int, train: bool = True):
         self.train = train
         self.agents = init_agents(
             [derive_stream(master_seed, f"agent-init-{i}") for i in range(n_nodes)],
-            self.h, OBS_DIM, n_nodes,
+            OBS_DIM, HIDDEN, n_nodes,
         )
-        self.buffers = [ReplayBuffer(self.h.replay_capacity) for _ in range(n_nodes)]
+        self.buffers = [ReplayBuffer(REPLAY_CAPACITY) for _ in range(n_nodes)]
         self.explore_epsilon = EXPLORE_EPSILON_START
         self.reset(None)
 
@@ -414,21 +394,17 @@ class DrlScheduler(Scheduler):
 
     def _train_eligible(self):
         """One update per agent whose replay holds a batch, in id order."""
-        batch_size = self.h.batch_size
-        if self.h.replay_capacity < batch_size:
-            return   # no replay ever holds a batch
         for i, buf in enumerate(self.buffers):
-            # the replay's length is min(_added, capacity), and capacity >= batch_size
-            if buf._added >= batch_size:
-                batch = buf.sample(batch_size, self._stream)
-                apply_update(self.agents, i, batch, self.h.gamma, self.h.grad_clip_norm,
-                             self.h.lr_decay)
+            # the replay's length is min(_added, capacity), and capacity >= batch size
+            if buf._added >= BATCH_SIZE:
+                batch = buf.sample(BATCH_SIZE, self._stream)
+                apply_update(self.agents, i, batch, GAMMA, GRAD_CLIP_NORM, LR_DECAY)
 
     def _store_placed(self, next_obs: np.ndarray, alive: float) -> None:
         """Store the staged placements in their agents' replay, then clear them."""
         ids, n = self._placed, len(self._placed)
         rows = Experience(self._placed_obs, next_obs, ids, np.full(n, self._reward), np.full(n, alive))
-        deltas = td_error(self.agents, ids, rows, self.h.gamma)
+        deltas = td_error(self.agents, ids, rows, GAMMA)
         for k in range(n):
             self.buffers[ids[k]].add(Experience(*(column[k] for column in rows)), deltas[k])
         self._placed, self._placed_obs = ids[:0], self._placed_obs[:0]
@@ -448,7 +424,7 @@ class DrlScheduler(Scheduler):
         eps = self.explore_epsilon if self.train else 0.0
         decisions = select_assignments(state, pending,
                                        lambda: forward(self.agents, observations)[0].diagonal(),
-                                       self._stream, self.h, eps)
+                                       self._stream, eps)
         if self.train:
             self._placed = np.array([d.node_id for d in decisions], dtype=int)
             self._placed_obs = observations[self._placed]

@@ -163,15 +163,18 @@ def improvement_curve_svg(results_dir, out_path) -> None:
 
 
 def emit_all(results_dir, schedulers, final_window) -> dict[str, str | None]:
-    """Emit every plot independently; return per-plot error messages (None = ok)."""
+    """Emit every plot independently; return per-plot error messages (None = ok).
+    The improvement plot is one of them only when ``schedulers`` lists the learner
+    and random, so it never pairs CSVs that another config left in the directory."""
     results_dir = Path(results_dir)
     present = [n for n in schedulers if (results_dir / f"{n}.csv").exists()]
     outcomes = {}
     jobs = {
         "learning_curve.svg": lambda p: learning_curve_svg(results_dir, present or schedulers, p),
         "comparison.svg": lambda p: comparison_bars_svg(results_dir, present or schedulers, final_window, p),
-        "improvement.svg": lambda p: improvement_curve_svg(results_dir, p),
     }
+    if {LEARNER, "random"} <= set(schedulers):
+        jobs["improvement.svg"] = lambda p: improvement_curve_svg(results_dir, p)
     for fname, job in jobs.items():
         try:
             job(results_dir / fname)

@@ -5,6 +5,7 @@ Each test evaluates every sub-check of its criterion, prints a single
 then asserts.  Expensive simulation runs are shared through session fixtures.
 """
 
+import math
 import sys
 import time
 
@@ -15,8 +16,8 @@ from scipy.stats import PermutationMethod, wilcoxon
 from marlsched.cluster import NodeSpec, generate_cluster, instantaneous_power, step_energy
 from marlsched.experiment import ExperimentConfig, make_scheduler, run_episode
 from marlsched.marl import (
+    HIDDEN,
     DrlScheduler,
-    Hyperparams,
     apply_update,
     expected_param_count,
     forward,
@@ -34,7 +35,7 @@ from marlsched.simenv import OBS_DIM, SimConfig, advance, enqueue_assignment, in
 from marlsched.stats import confidence_interval_95, welch_t_test
 from marlsched.workload import DEADLINE_FACTORS, Task, generate_workload
 
-from test_marl import copy_params, random_batch, small_hyper, surrogate_loss, td_targets
+from test_marl import copy_params, random_batch, surrogate_loss, td_targets
 
 
 def _criterion(name: str, checks: list[tuple[str, bool]]) -> None:
@@ -140,7 +141,7 @@ def test_p3_network_correctness():
     t0 = time.perf_counter()
     checks = []
 
-    agent = init_agents([derive_stream(42, "p3")], Hyperparams(), OBS_DIM, 100)
+    agent = init_agents([derive_stream(42, "p3")], OBS_DIM, HIDDEN, 100)
     checks.append(("parameter count 19,557 at (50, 128, 100)",
                    expected_param_count(50, 128, 100) == 19_557 and agent.n_params == 19_557))
 
@@ -148,17 +149,16 @@ def test_p3_network_correctness():
     worst = max(abs(forward(agent, rng.random((1, 50)))[0].sum() - 1.0) for _ in range(1000))
     checks.append(("softmax normalization error <= 1e-9 on 1000 inputs", worst <= 1e-9))
 
-    h = small_hyper()
     step = 1e-5
     worst_rel = 0.0
     for trial in range(100):
-        net = init_agents([derive_stream(trial, "p3-fd")], h, 6, 3)
+        net = init_agents([derive_stream(trial, "p3-fd")], 6, hidden=4, n_actions=3)
         batch = random_batch(rng)
         deltas = td_error(net, np.zeros(4, dtype=int), batch, 0.99)
         targets = td_targets(net, batch)
         before = copy_params(net)
         lr = net.current_lr[0]
-        apply_update(net, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9995)
+        apply_update(net, 0, batch, gamma=0.99, grad_clip_norm=math.inf, lr_decay=0.9995)
         analytic = np.concatenate([
             ((getattr(before, n) - getattr(net, n)) / lr).ravel()
             for n in ("W1", "b1", "W2", "b2", "Wv")

@@ -31,7 +31,7 @@ from marlsched.experiment import (
     write_comparison_csv,
     write_episode_csv,
 )
-from marlsched.marl import DrlScheduler, Hyperparams
+from marlsched.marl import DrlScheduler
 from marlsched.metrics import EpisodeMetrics
 from marlsched.plots import COLORS, PlotInputError, emit_all, improvement_curve_svg
 from marlsched.schedulers import RandomScheduler
@@ -42,8 +42,6 @@ CONFIG_KEYS = [
     "master_seed", "n_nodes", "n_tasks", "episodes", "final_window", "schedulers",
     "arrival_rate", "output_dir", "trace",
     "sim.max_time",
-    "hyper.hidden", "hyper.learning_rate", "hyper.lr_decay", "hyper.gamma",
-    "hyper.grad_clip_norm", "hyper.batch_size", "hyper.replay_capacity", "hyper.w_pi",
 ]
 
 # A valid value other than the default for each settable key, set alone.
@@ -51,16 +49,16 @@ NON_DEFAULT = {
     "master_seed": 7, "n_nodes": 6, "n_tasks": 20, "episodes": 12, "final_window": 2,
     "schedulers": ["minmin", "drl"], "arrival_rate": 2.5, "output_dir": "elsewhere", "trace": True,
     "sim.max_time": 250.0,
-    "hyper.hidden": 16, "hyper.learning_rate": 0.01, "hyper.lr_decay": 0.99, "hyper.gamma": 0.9,
-    "hyper.grad_clip_norm": None, "hyper.batch_size": 8, "hyper.replay_capacity": 100, "hyper.w_pi": 0.0,
 }
 
 # Former settings that are constants now: the workload's priority mix and the step.
 REMOVED_KEYS = ["priority_mix", "sim.dt"]
 
-# Former Hyperparams fields that are constants of the learner now.
+# Former learner settings that are constants in ``marl`` now.
 REMOVED_HYPER_KEYS = [
     f"hyper.{name}" for name in (
+        "hidden", "learning_rate", "lr_decay", "gamma",
+        "replay_capacity", "batch_size", "grad_clip_norm", "w_pi",
         "per_epsilon", "per_exponent",
         "explore_epsilon_start", "explore_epsilon_decay", "explore_epsilon_min",
         "urgency_class", "urgency_slack", "urgency_resource",
@@ -68,6 +66,20 @@ REMOVED_HYPER_KEYS = [
         "sla_plus", "sla_minus", "compl_base", "compl_slope", "energy_coef", "balance_coef",
     )
 ]
+
+
+def case_id(raw) -> str:
+    """A config case's stable test id: ``key=value`` for a one-key object, the value as
+    compact JSON, or the JSON type name of a config that is not an object."""
+    if not isinstance(raw, dict):
+        return type(raw).__name__
+    return ",".join(f"{key}={json.dumps(value, separators=(',', ':'))}" for key, value in raw.items())
+
+
+def config_cases(*cases):
+    """Parametrize cases ``raw`` or ``(raw, ...)``, each with the id ``case_id(raw)``."""
+    return [pytest.param(*case, id=case_id(case[0])) if isinstance(case, tuple)
+            else pytest.param(case, id=case_id(case)) for case in cases]
 
 
 class TestExperimentConfig:
@@ -80,19 +92,19 @@ class TestExperimentConfig:
 
     def test_config_keys_are_the_settable_fields(self):
         assert sorted(CONFIG_KEYS) == sorted(
-            [f.name for f in fields(ExperimentConfig) if f.name not in ("sim", "hyper")]
+            [f.name for f in fields(ExperimentConfig) if f.name != "sim"]
             + [f"sim.{f.name}" for f in fields(SimConfig)]
-            + [f"hyper.{f.name}" for f in fields(Hyperparams)]
         )
         assert sorted(ExperimentConfig().to_flat()) == sorted(CONFIG_KEYS)
+        assert len(CONFIG_KEYS) == 10
 
     def test_from_flat_with_dotted_keys(self):
         cfg = ExperimentConfig.from_flat({
             "n_nodes": 10, "episodes": 5, "final_window": 2,
-            "schedulers": ["random", "drl"], "sim.max_time": 250.0, "hyper.gamma": 0.9,
+            "schedulers": ["random", "drl"], "sim.max_time": 250.0,
         })
         assert cfg.n_nodes == 10 and cfg.schedulers == ("random", "drl")
-        assert cfg.sim.max_time == 250.0 and cfg.hyper.gamma == 0.9
+        assert cfg.sim.max_time == 250.0
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
@@ -120,7 +132,7 @@ class TestExperimentConfig:
         assert config != ExperimentConfig()
         assert ExperimentConfig.from_flat(json.loads(json.dumps(config.to_flat()))) == config
 
-    @pytest.mark.parametrize("raw, message", [
+    @pytest.mark.parametrize("raw, message", config_cases(
         ({"n_nodes": "3"}, 'config key n_nodes must be int, not "3"'),
         ({"n_nodes": True}, "config key n_nodes must be int, not true"),
         ({"n_nodes": 3.0}, "config key n_nodes must be int, not 3.0"),
@@ -128,29 +140,28 @@ class TestExperimentConfig:
         ({"schedulers": ["drl", 1]}, 'config key schedulers must be a list of str, not ["drl", 1]'),
         ({"schedulers": 5}, "config key schedulers must be a list of str, not 5"),
         ({"schedulers": [None]}, "config key schedulers must be a list of str, not [null]"),
-        ({"hyper.gamma": "0.9"}, 'config key hyper.gamma must be float, not "0.9"'),
-        ({"hyper.gamma": None}, "config key hyper.gamma must be float, not null"),
-        ({"hyper.gamma": False}, "config key hyper.gamma must be float, not false"),
-        ({"hyper.grad_clip_norm": "10"},
-         'config key hyper.grad_clip_norm must be float | None, not "10"'),
+        ({"arrival_rate": "0.9"}, 'config key arrival_rate must be float, not "0.9"'),
+        ({"arrival_rate": None}, "config key arrival_rate must be float, not null"),
+        ({"arrival_rate": False}, "config key arrival_rate must be float, not false"),
         ({"sim.max_time": None}, "config key sim.max_time must be float, not null"),
         ({"trace": 1}, "config key trace must be bool, not 1"),
         ({"output_dir": 5}, "config key output_dir must be str, not 5"),
-        ({"hyper.gamma": float("inf")}, "config key hyper.gamma must be float, not Infinity"),
         ({"arrival_rate": float("-inf")}, "config key arrival_rate must be float, not -Infinity"),
         ({"sim.max_time": float("-inf")}, "config key sim.max_time must be float, not -Infinity"),
         ({"arrival_rate": float("inf")}, "config key arrival_rate must be float, not Infinity"),
         ({"sim.max_time": float("inf")}, "config key sim.max_time must be float, not Infinity"),
-    ])
+    ))
     def test_value_of_wrong_type_rejected(self, raw, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_flat(raw)
 
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_null_fits_no_key(self, key):
+        with pytest.raises(ValueError, match=f"^config key {re.escape(key)} must be .*, not null$"):
+            ExperimentConfig.from_flat({key: None})
+
     @pytest.mark.parametrize("key, value, expected", [
-        ("hyper.gamma", 1, 1),
         ("sim.max_time", 2, 2),
-        ("hyper.grad_clip_norm", None, None),
-        ("hyper.grad_clip_norm", 3, 3),
         ("arrival_rate", 3, 3),
         ("schedulers", ["minmin"], ("minmin",)),
         ("trace", True, True),
@@ -158,29 +169,18 @@ class TestExperimentConfig:
     def test_value_of_annotated_type_accepted(self, key, value, expected):
         assert operator.attrgetter(key)(ExperimentConfig.from_flat({key: value})) == expected
 
-    @pytest.mark.parametrize("raw, message", [
+    @pytest.mark.parametrize("raw, message", config_cases(
         ({"n_nodes": 0}, "n_nodes must be >= 1, got 0"),
         ({"n_tasks": 0}, "n_tasks must be >= 1, got 0"),
         ({"arrival_rate": 0}, "arrival_rate must be positive, got 0"),
         ({"arrival_rate": -1.0}, "arrival_rate must be positive, got -1.0"),
-        ({"hyper.batch_size": 0}, "hyper.batch_size must be >= 1, got 0"),
-        ({"hyper.replay_capacity": 0}, "hyper.replay_capacity must be >= 1, got 0"),
-        ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
         ({"schedulers": ["random", "random"]}, "duplicate scheduler 'random'"),
         ({"schedulers": []}, "schedulers must be nonempty"),
         ({"episodes": 0}, "need episodes >= final_window >= 1"),
         ({"final_window": 0}, "need episodes >= final_window >= 1"),
         ({"sim.max_time": 0}, "max_time must be positive, got 0"),
         ({"sim.max_time": -5}, "max_time must be positive, got -5"),
-        ({"hyper.learning_rate": 0}, "hyper.learning_rate must be > 0, got 0"),
-        ({"hyper.learning_rate": -0.001}, "hyper.learning_rate must be > 0, got -0.001"),
-        ({"hyper.lr_decay": 0}, "hyper.lr_decay must be in (0, 1], got 0"),
-        ({"hyper.lr_decay": 1.5}, "hyper.lr_decay must be in (0, 1], got 1.5"),
-        ({"hyper.gamma": 2.0}, "hyper.gamma must be in [0, 1], got 2.0"),
-        ({"hyper.gamma": -0.5}, "hyper.gamma must be in [0, 1], got -0.5"),
-        ({"hyper.grad_clip_norm": -1}, "hyper.grad_clip_norm must be > 0 or null, got -1"),
-        ({"hyper.grad_clip_norm": 0}, "hyper.grad_clip_norm must be > 0 or null, got 0"),
-    ])
+    ))
     def test_value_out_of_range_rejected(self, raw, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_flat(raw)
@@ -442,7 +442,8 @@ class TestCliRun:
     def test_second_run_keeps_the_first_scheduler(self, tmp_path, second, kept):
         """A second ``run`` into one directory keeps the first run's scheduler in
         ``config.json`` when every other value matches, so ``plot`` draws both
-        curves; with another seed the directory's config is the second run's."""
+        curves and the improvement plot; with another seed the directory's config
+        is the second run's, and the first run's ``drl.csv`` is plotted nowhere."""
         flags = ["--nodes", "4", "--tasks", "10", "--episodes", "2", "--out", str(tmp_path)]
         assert main(["run", "--scheduler", "drl", *flags]) == 0
         assert main(["run", "--scheduler", "random", *flags, *second]) == 0
@@ -451,6 +452,7 @@ class TestCliRun:
         curves = (tmp_path / "learning_curve.svg").read_text()
         assert curves.count("<polyline ") == len(kept)
         assert re.findall(r'">(\w+)</text>', curves)[-len(kept):] == kept
+        assert (tmp_path / "improvement.svg").exists() == (kept == ["random", "drl"])
 
     def test_unknown_scheduler_exits_2(self, tmp_path, capsys):
         rc = main(["run", "--scheduler", "sjf", "--out", str(tmp_path)])
@@ -487,7 +489,7 @@ class TestCliRun:
         assert rc == 2
         assert capsys.readouterr().err == f"error: unknown config key: {key}\n"
 
-    @pytest.mark.parametrize("raw", [{"n_nodes": "3"}, {"schedulers": "drl"}, {"hyper.gamma": "0.9"}])
+    @pytest.mark.parametrize("raw", [{"n_nodes": "3"}, {"schedulers": "drl"}, {"arrival_rate": "0.9"}])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -497,14 +499,9 @@ class TestCliRun:
         assert err.startswith(f"error: config key {next(iter(raw))} must be ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("raw", [
-        {"hyper.batch_size": 0}, {"hyper.replay_capacity": 0}, {"n_nodes": 0},
-        {"n_tasks": 0}, {"arrival_rate": -1.0}, [1, 2],
-        {"hyper.learning_rate": 0}, {"hyper.learning_rate": -0.001},
-        {"hyper.lr_decay": 0}, {"hyper.lr_decay": 1.5},
-        {"hyper.gamma": 2.0}, {"hyper.gamma": -0.5},
-        {"hyper.grad_clip_norm": -1}, {"hyper.grad_clip_norm": 0},
-    ])
+    @pytest.mark.parametrize("raw", config_cases(
+        {"n_nodes": 0}, {"n_tasks": 0}, {"arrival_rate": -1.0}, [1, 2],
+    ))
     def test_config_value_out_of_range_exits_2(self, tmp_path, capsys, raw):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -514,18 +511,15 @@ class TestCliRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("raw, message", [
+    @pytest.mark.parametrize("raw, message", config_cases(
         ({"arrival_rate": float("nan")}, "config key arrival_rate must be float, not NaN"),
-        ({"hyper.hidden": 0}, "hyper.hidden must be >= 1, got 0"),
         ({"sim.max_time": float("nan")}, "config key sim.max_time must be float, not NaN"),
-        ({"hyper.gamma": float("nan")}, "config key hyper.gamma must be float, not NaN"),
-        ({"hyper.gamma": float("inf")}, "config key hyper.gamma must be float, not Infinity"),
         ({"sim.max_time": float("-inf")}, "config key sim.max_time must be float, not -Infinity"),
         ({"arrival_rate": float("inf")}, "config key arrival_rate must be float, not Infinity"),
         ({"sim.max_time": float("inf")}, "config key sim.max_time must be float, not Infinity"),
         ({"sim.max_time": 0}, "max_time must be positive, got 0"),
         ({"sim.max_time": -5}, "max_time must be positive, got -5"),
-    ])
+    ))
     def test_config_that_failed_mid_run_exits_2(self, tmp_path, capsys, raw, message):
         """Each value used to pass config parsing and end the run in a traceback."""
         cfg = tmp_path / "cfg.json"
@@ -772,7 +766,7 @@ class TestCliPlot:
         each fails on its own with the file named; none is written."""
         (tmp_path / "drl.csv").write_bytes((compare_dir / "drl.csv").read_bytes())
         (tmp_path / "random.csv").write_text(text)
-        (tmp_path / "config.json").write_text(json.dumps({"schedulers": ["random"]}))
+        (tmp_path / "config.json").write_text(json.dumps({"schedulers": ["random", "drl"]}))
         assert main(["plot", str(tmp_path)]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert [line.split(":")[0] for line in lines] == [

@@ -1,6 +1,7 @@
 """Actor-critic network, hybrid selection, reward, replay and update oracles."""
 
 import copy
+import math
 import tracemalloc
 from dataclasses import fields
 
@@ -9,13 +10,15 @@ import pytest
 
 from marlsched.cluster import NodeSpec
 from marlsched.marl import (
+    HIDDEN,
+    LEARNING_RATE,
     W_COMPAT,
     W_LOAD,
     W_MEM,
+    W_PI,
     AgentParams,
     DrlScheduler,
     Experience,
-    Hyperparams,
     ReplayBuffer,
     apply_update,
     assignment_score,
@@ -35,19 +38,12 @@ from marlsched.simenv import (
 )
 from marlsched.workload import DEADLINE_FACTORS, Task
 
-H = Hyperparams()
-
-
-def small_hyper(**kw):
-    return Hyperparams(hidden=4, **kw)
-
-
-def zero_agents(h, obs_dim, n_actions, n=1):
+def zero_agents(obs_dim, n_actions, n=1, hidden=HIDDEN):
     """A population of n agents whose every parameter is zero."""
     return AgentParams(
-        W1=np.zeros((n, h.hidden, obs_dim)), b1=np.zeros((n, h.hidden)),
-        W2=np.zeros((n, n_actions, h.hidden)), b2=np.zeros((n, n_actions)),
-        Wv=np.zeros((n, h.hidden)), bv=np.zeros(n), current_lr=np.full(n, h.learning_rate),
+        W1=np.zeros((n, hidden, obs_dim)), b1=np.zeros((n, hidden)),
+        W2=np.zeros((n, n_actions, hidden)), b2=np.zeros((n, n_actions)),
+        Wv=np.zeros((n, hidden)), bv=np.zeros(n), current_lr=np.full(n, LEARNING_RATE),
     )
 
 
@@ -69,38 +65,37 @@ def task(tid, duration=10.0, cpu=1.0, mem=1.0, arrival=0.0, priority=1):
 class TestNetwork:
     def test_parameter_count(self):
         assert expected_param_count(50, 128, 100) == 19_557
-        agent = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
+        agent = init_agents([derive_stream(42, "agent-init-0")], OBS_DIM, HIDDEN, 100)
         assert agent.n_params == 19_557
 
     def test_init_biases_zero_weights_bounded(self):
-        agent = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
+        agent = init_agents([derive_stream(42, "agent-init-0")], OBS_DIM, HIDDEN, 100)
         assert np.all(agent.b1 == 0.0) and np.all(agent.b2 == 0.0) and np.all(agent.bv == 0.0)
         assert np.all(np.abs(agent.W1) <= np.sqrt(2.0 / OBS_DIM))
-        assert np.all(np.abs(agent.W2) <= np.sqrt(2.0 / H.hidden))
+        assert np.all(np.abs(agent.W2) <= np.sqrt(2.0 / HIDDEN))
 
     def test_init_deterministic(self):
-        a = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
-        b = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
+        a = init_agents([derive_stream(42, "agent-init-0")], OBS_DIM, HIDDEN, 100)
+        b = init_agents([derive_stream(42, "agent-init-0")], OBS_DIM, HIDDEN, 100)
         assert np.array_equal(a.W1, b.W1) and np.array_equal(a.W2, b.W2)
 
     def test_init_draws_w1_w2_wv_in_stream_order(self):
         """init_agents draws an agent's weights from its stream in the order W1,
         W2, Wv, each scaled as (2u - 1) * sqrt(2 / fan_in)."""
-        h = small_hyper()
-        agent = init_agents([derive_stream(0, "a")], h, 6, 3)
+        agent = init_agents([derive_stream(0, "a")], 6, hidden=4, n_actions=3)
         u = derive_stream(0, "a").random(4 * 6 + 3 * 4 + 4)
         assert np.array_equal(agent.W1[0], (2.0 * u[:24].reshape(4, 6) - 1.0) * np.sqrt(2.0 / 6))
         assert np.array_equal(agent.W2[0], (2.0 * u[24:36].reshape(3, 4) - 1.0) * np.sqrt(2.0 / 4))
         assert np.array_equal(agent.Wv[0], (2.0 * u[36:] - 1.0) * np.sqrt(2.0 / 4))
-        assert agent.bv.tolist() == [0.0] and agent.current_lr.tolist() == [h.learning_rate]
+        assert agent.bv.tolist() == [0.0] and agent.current_lr.tolist() == [LEARNING_RATE]
 
     def test_zero_params_uniform_policy(self):
-        policy, value, _ = forward(zero_agents(H, OBS_DIM, 100), np.zeros((1, 50)))
+        policy, value, _ = forward(zero_agents(OBS_DIM, 100), np.zeros((1, 50)))
         assert np.allclose(policy, 0.01)
         assert value.tolist() == [0.0]
 
     def test_softmax_normalization(self):
-        agent = init_agents([derive_stream(42, "agent-init-0")], H, OBS_DIM, 100)
+        agent = init_agents([derive_stream(42, "agent-init-0")], OBS_DIM, HIDDEN, 100)
         rng = np.random.default_rng(0)
         for _ in range(1000):
             policy, _, _ = forward(agent, rng.random((1, 50)))
@@ -108,8 +103,7 @@ class TestNetwork:
             assert np.all(policy >= 0.0)
 
     def test_softmax_shift_invariance(self):
-        h = small_hyper()
-        agent = init_agents([derive_stream(0, "a")], h, 6, 3)
+        agent = init_agents([derive_stream(0, "a")], 6, hidden=4, n_actions=3)
         obs = np.linspace(0, 1, 6)[None]
         p1, _, _ = forward(agent, obs)
         agent.b2 = agent.b2 + 5.0     # constant shift of every logit
@@ -118,20 +112,20 @@ class TestNetwork:
 
     def test_wrong_observation_length(self):
         with pytest.raises(ValueError):
-            forward(zero_agents(H, OBS_DIM, 100), np.zeros((1, 49)))
+            forward(zero_agents(OBS_DIM, 100), np.zeros((1, 49)))
 
     def test_population_forward_equals_per_agent(self):
         rng = np.random.default_rng(3)
         for trial in range(20):
             agents = init_agents([derive_stream(trial, f"agent-init-{i}") for i in range(7)],
-                                 H, OBS_DIM, 7)
+                                 OBS_DIM, HIDDEN, 7)
             for i in range(7):
-                agents.b1[i] = rng.normal(size=H.hidden) * 0.1
+                agents.b1[i] = rng.normal(size=HIDDEN) * 0.1
                 agents.b2[i] = rng.normal(size=7)
                 agents.bv[i] = float(rng.normal())
             obs = rng.random((7, OBS_DIM))
             policy, value, hidden = forward(agents, obs)
-            assert policy.shape == (7, 7) and value.shape == (7,) and hidden.shape == (7, H.hidden)
+            assert policy.shape == (7, 7) and value.shape == (7,) and hidden.shape == (7, HIDDEN)
             for i in range(7):
                 p_i, v_i, h_i = forward(member(agents, i), obs[i : i + 1])
                 assert np.array_equal(policy[i], p_i[0])
@@ -142,13 +136,13 @@ class TestNetwork:
                 assert value[i] == agents.Wv[i] @ hidden[i] + agents.bv[i]
 
     def test_population_wrong_observation_shape(self):
-        agents = zero_agents(H, OBS_DIM, 100, n=3)
+        agents = zero_agents(OBS_DIM, 100, n=3)
         for shape in [(3, 49), (2, 50), (50,), (1, 3, 50)]:
             with pytest.raises(ValueError):
                 forward(agents, np.zeros(shape))
 
     def test_population_non_finite_output(self):
-        agents = zero_agents(H, OBS_DIM, 100, n=3)
+        agents = zero_agents(OBS_DIM, 100, n=3)
         agents.bv[2] = np.inf
         with pytest.raises(FloatingPointError):
             forward(agents, np.zeros((3, 50)))
@@ -179,11 +173,11 @@ class TestScores:
 
     def test_assignment_score_saturated_node(self):
         t = task(0, cpu=4.0, priority=0)    # cpu/C = 1 -> compat 0.5
-        assert assignment_score(0.0, 1.0, 1.0, t, 4.0, H) == pytest.approx(0.075)
+        assert assignment_score(0.0, 1.0, 1.0, t, 4.0) == pytest.approx(0.075)
 
     def test_assignment_score_ideal_node(self):
         t = task(0, cpu=2.0, priority=0)   # cpu/C = 0.5 -> compat 1
-        assert assignment_score(1.0, 0.0, 0.0, t, 4.0, H) == pytest.approx(0.90)
+        assert assignment_score(1.0, 0.0, 0.0, t, 4.0) == pytest.approx(0.90)
 
 
 class TestSelection:
@@ -192,14 +186,14 @@ class TestSelection:
         state = init_episode(SimConfig(), ts, [node(0), node(1)])
         probs = np.zeros(2)
         decisions = select_assignments(state, [state.tasks[0], state.tasks[1]],
-                                       lambda: probs, None, H, 0.0)
+                                       lambda: probs, None, 0.0)
         assert decisions[0].task_id == 1    # Production scored first
 
     def test_no_feasible_node_rejects_only_that_task(self):
         ts = [task(0, cpu=99.0), task(1, cpu=1.0)]
         state = init_episode(SimConfig(), ts, [node(0)])
         decisions = select_assignments(state, [state.tasks[0], state.tasks[1]],
-                                       lambda: np.zeros(1), None, H, 0.0)
+                                       lambda: np.zeros(1), None, 0.0)
         assert decisions == [(1, 0)]
 
     def test_greedy_is_deterministic_without_exploration(self):
@@ -207,8 +201,8 @@ class TestSelection:
         state = init_episode(SimConfig(), ts, [node(i) for i in range(3)])
         pending = [state.tasks[i] for i in range(4)]
         probs = np.array([0.2, 0.5, 0.3])
-        a = select_assignments(state, pending, lambda: probs, None, H, 0.0)
-        b = select_assignments(state, pending, lambda: probs, None, H, 0.0)
+        a = select_assignments(state, pending, lambda: probs, None, 0.0)
+        b = select_assignments(state, pending, lambda: probs, None, 0.0)
         assert a == b
 
     def test_in_call_bookkeeping_shifts_later_choices(self):
@@ -216,7 +210,7 @@ class TestSelection:
         ts = [task(0, cpu=2.0), task(1, cpu=2.0)]
         state = init_episode(SimConfig(), ts, [node(0), node(1)])
         decisions = select_assignments(state, [state.tasks[0], state.tasks[1]],
-                                       lambda: np.zeros(2), None, H, 0.0)
+                                       lambda: np.zeros(2), None, 0.0)
         assert {d.node_id for d in decisions} == {0, 1}
 
     def test_policy_computed_once_and_only_for_a_greedy_placement(self):
@@ -231,12 +225,12 @@ class TestSelection:
             calls.append(None)
             return np.zeros(2)
 
-        assert len(select_assignments(state, pending, probs, None, H, 0.0)) == 2
+        assert len(select_assignments(state, pending, probs, None, 0.0)) == 2
         assert len(calls) == 1
         calls.clear()
         # epsilon 1: every feasible task explores
-        assert len(select_assignments(state, pending, probs, derive_stream(0, "e"), H, 1.0)) == 2
-        assert select_assignments(state, pending[:1], probs, None, H, 0.0) == []
+        assert len(select_assignments(state, pending, probs, derive_stream(0, "e"), 1.0)) == 2
+        assert select_assignments(state, pending[:1], probs, None, 0.0) == []
         assert calls == []
 
 
@@ -295,20 +289,17 @@ def row(i, obs_dim=2):
 
 class TestTdError:
     def test_simple_substitution(self):
-        h = small_hyper()
         tr = rows((np.zeros(6), 0, 1.0, np.zeros(6), False))
-        assert td_error(zero_agents(h, 6, 3), [0], tr, 0.99) == pytest.approx(1.0)
+        assert td_error(zero_agents(6, 3, hidden=4), [0], tr, 0.99) == pytest.approx(1.0)
 
     def test_terminal_no_bootstrap(self):
-        h = small_hyper()
-        agent = zero_agents(h, 6, 3)
+        agent = zero_agents(6, 3, hidden=4)
         agent.bv[0] = 0.5
         tr = rows((np.zeros(6), 0, 2.0, np.ones(6), True))
         assert td_error(agent, [0], tr, 0.99) == pytest.approx(1.5)
 
     def test_bootstrap_term(self):
-        h = small_hyper()
-        agent = zero_agents(h, 6, 3)
+        agent = zero_agents(6, 3, hidden=4)
         agent.bv[0] = 0.5
         tr = rows((np.zeros(6), 0, 1.0, np.ones(6), False))
         assert td_error(agent, [0], tr, 0.99) == pytest.approx(1.0 + 0.99 * 0.5 - 0.5)
@@ -317,7 +308,7 @@ class TestTdError:
         """One call over rows of several agents (ids repeated, some rows
         terminal) gives the bits of the per-row ``forward`` definition."""
         rng = np.random.default_rng(11)
-        agents = init_agents([derive_stream(7, f"td-{i}") for i in range(4)], H, OBS_DIM, 4)
+        agents = init_agents([derive_stream(7, f"td-{i}") for i in range(4)], OBS_DIM, HIDDEN, 4)
         agents.b1[:] = rng.normal(size=agents.b1.shape) * 0.1
         agents.bv[:] = rng.normal(size=4)
         ids = np.array([2, 0, 2, 3, 1, 2, 0, 3, 3])
@@ -337,7 +328,7 @@ class TestTdError:
         assert np.array_equal(deltas, expected)
 
     def test_non_finite_value_raises(self):
-        agents = zero_agents(small_hyper(), 6, 3, n=2)
+        agents = zero_agents(6, 3, n=2, hidden=4)
         agents.bv[1] = np.nan
         with pytest.raises(FloatingPointError):
             td_error(agents, [0, 1], rows(*[(np.zeros(6), 0, 1.0, np.zeros(6), False)] * 2), 0.99)
@@ -454,43 +445,41 @@ PARAM_NAMES = ("W1", "b1", "W2", "b2", "Wv", "bv")
 
 class TestApplyUpdate:
     def test_zero_delta_leaves_params_lr_decays(self):
-        h = small_hyper()
-        agent = zero_agents(h, 6, 3)
+        agent = zero_agents(6, 3, hidden=4)
         before = copy_params(agent)
         batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
-        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9995)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=math.inf, lr_decay=0.9995)
         assert np.array_equal(agent.W1, before.W1) and np.array_equal(agent.W2, before.W2)
         assert np.array_equal(agent.Wv, before.Wv) and np.array_equal(agent.bv, before.bv)
         assert agent.current_lr[0] == pytest.approx(before.current_lr[0] * 0.9995)
 
     def test_learning_rate_decays_by_lr_decay(self):
-        agent = zero_agents(small_hyper(), 6, 3)
+        agent = zero_agents(6, 3, hidden=4)
         batch = rows(*[(np.ones(6), 1, 0.0, np.ones(6), False)] * 4)
-        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9)
-        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=math.inf, lr_decay=0.9)
+        apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=math.inf, lr_decay=0.9)
         assert agent.current_lr[0] == pytest.approx(0.001 * 0.81)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             empty = Experience(np.zeros((0, 6)), np.zeros((0, 6)), np.zeros(0, dtype=int),
                                np.zeros(0), np.zeros(0))
-            apply_update(zero_agents(small_hyper(), 6, 3), 0, empty, gamma=0.99,
-                         grad_clip_norm=None, lr_decay=0.9995)
+            apply_update(zero_agents(6, 3, hidden=4), 0, empty, gamma=0.99,
+                         grad_clip_norm=math.inf, lr_decay=0.9995)
 
     def test_gradient_matches_finite_differences(self):
         """Analytic backprop vs central differences on 100 random small nets."""
-        h = small_hyper()
         rng = np.random.default_rng(12345)
         step = 1e-5
         for trial in range(100):
-            agent = init_agents([derive_stream(trial, "fd-agent")], h, 6, 3)
+            agent = init_agents([derive_stream(trial, "fd-agent")], 6, hidden=4, n_actions=3)
             batch = random_batch(rng)
             deltas = td_error(agent, np.zeros(4, dtype=int), batch, 0.99)
             targets = td_targets(agent, batch)
 
             before = copy_params(agent)
             lr = agent.current_lr[0]
-            apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=None, lr_decay=0.9995)
+            apply_update(agent, 0, batch, gamma=0.99, grad_clip_norm=math.inf, lr_decay=0.9995)
             analytic = np.concatenate([
                 ((getattr(before, n) - getattr(agent, n)) / lr).ravel() for n in PARAM_NAMES
             ])
@@ -512,8 +501,7 @@ class TestApplyUpdate:
             assert rel <= 1e-4, f"trial {trial}: relative gradient error {rel:.2e}"
 
     def test_gradient_clipping_bounds_step(self):
-        h = small_hyper()
-        agent = init_agents([derive_stream(0, "clip")], h, 6, 3)
+        agent = init_agents([derive_stream(0, "clip")], 6, hidden=4, n_actions=3)
         batch = rows(*[(np.ones(6), 0, 1000.0, np.ones(6), True)] * 4)
         before = copy_params(agent)
         lr = agent.current_lr[0]
@@ -525,9 +513,8 @@ class TestApplyUpdate:
     def test_updates_only_agent_i(self):
         """``apply_update(agents, i, ...)`` moves agent i's rows exactly as it moves
         a population of one holding that agent, and leaves every other row's bits."""
-        h = small_hyper()
         rng = np.random.default_rng(5)
-        agents = init_agents([derive_stream(0, f"only-{i}") for i in range(4)], h, 6, 3)
+        agents = init_agents([derive_stream(0, f"only-{i}") for i in range(4)], 6, hidden=4, n_actions=3)
         agents.b1[:] = rng.normal(size=agents.b1.shape) * 0.1
         agents.bv[:] = rng.normal(size=4)
         batch = random_batch(rng)
@@ -562,8 +549,7 @@ class TestExplorationDecay:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        h = small_hyper()
-        agents = init_agents([derive_stream(s, "ckpt") for s in range(3)], h, 6, 3)
+        agents = init_agents([derive_stream(s, "ckpt") for s in range(3)], 6, hidden=4, n_actions=3)
         agents.current_lr[1] = 0.0005
         path = tmp_path / "ckpt.npz"
         with open(path, "wb") as f:
@@ -578,7 +564,7 @@ class TestCheckpoint:
     def test_same_bytes_as_savez(self, tmp_path):
         """Member by member, the file is the one ``np.savez`` writes of the
         same arrays in the same order."""
-        agents = init_agents([derive_stream(s, "ckpt") for s in range(3)], small_hyper(), 6, 3)
+        agents = init_agents([derive_stream(s, "ckpt") for s in range(3)], 6, hidden=4, n_actions=3)
         agents.current_lr[2] = 0.0007
         with open(tmp_path / "ckpt.npz", "wb") as f:
             save_checkpoint(f, agents, episode=4)
@@ -606,28 +592,30 @@ class TestCheckpoint:
 class TestDrlScheduler:
     def test_action_space_follows_cluster_size(self):
         sched = DrlScheduler(42, n_nodes=7)
-        assert sched.agents.W1.shape == (7, sched.h.hidden, OBS_DIM)
-        assert sched.agents.W2.shape == (7, 7, sched.h.hidden)
+        assert sched.agents.W1.shape == (7, HIDDEN, OBS_DIM)
+        assert sched.agents.W2.shape == (7, 7, HIDDEN)
         assert sched.agents.b2.shape == (7, 7)
         assert sched.agents.bv.shape == sched.agents.current_lr.shape == (7,)
 
     def test_agents_keep_their_init_streams(self):
         sched = DrlScheduler(42, n_nodes=3)
         for i in range(3):
-            alone = init_agents([derive_stream(42, f"agent-init-{i}")], sched.h, OBS_DIM, 3)
+            alone = init_agents([derive_stream(42, f"agent-init-{i}")], OBS_DIM, HIDDEN, 3)
             assert np.array_equal(sched.agents.W1[i], alone.W1[0])
             assert np.array_equal(sched.agents.W2[i], alone.W2[0])
             assert np.array_equal(sched.agents.Wv[i], alone.Wv[0])
 
-    def test_hyperparameter_lr_decay_takes_effect(self):
+    def test_hyperparameter_lr_decay_takes_effect(self, monkeypatch):
+        from marlsched import marl
         from marlsched.experiment import ExperimentConfig, run_episode
 
-        h = Hyperparams(lr_decay=0.5, batch_size=2)
+        monkeypatch.setattr(marl, "LR_DECAY", 0.5)
+        monkeypatch.setattr(marl, "BATCH_SIZE", 2)
         cfg = ExperimentConfig(master_seed=5, n_nodes=4, n_tasks=40,
-                               episodes=1, final_window=1, hyper=h)
-        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
+                               episodes=1, final_window=1)
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes)
         run_episode(sched, cfg, 0)
-        updates = np.log(sched.agents.current_lr / h.learning_rate) / np.log(0.5)
+        updates = np.log(sched.agents.current_lr / LEARNING_RATE) / np.log(0.5)
         assert updates.max() >= 1
         assert np.allclose(updates, np.round(updates), atol=1e-9)
 
@@ -638,7 +626,7 @@ class TestDrlScheduler:
                                episodes=1, final_window=1)
 
         def run():
-            sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper, train=False)
+            sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, train=False)
             return run_episode(sched, cfg, 0).metrics
 
         a, b = run(), run()
@@ -657,7 +645,7 @@ class TestDrlScheduler:
         monkeypatch.setattr(marl, "compute_step_reward", learner_bookkeeping)
         cfg = ExperimentConfig(master_seed=5, n_nodes=6, n_tasks=30,
                                episodes=1, final_window=1)
-        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper, train=False)
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, train=False)
         assert run_episode(sched, cfg, 0).metrics.completed > 0
         assert [len(b) for b in sched.buffers] == [0] * cfg.n_nodes
         at_reset = derive_stream(cfg.master_seed, "sched-drl-0").bit_generator.state
@@ -668,24 +656,24 @@ class TestDrlScheduler:
 
         cfg = ExperimentConfig(master_seed=5, n_nodes=6, n_tasks=20,
                                episodes=1, final_window=1)
-        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes)
         eps0 = sched.explore_epsilon
         run_episode(sched, cfg, 0)
         assert sched.explore_epsilon == pytest.approx(eps0 * 0.995)
 
-    @pytest.mark.parametrize("batch_size, capacity", [(10, 10_000), (10, 10), (8, 3)])
+    @pytest.mark.parametrize("batch_size, capacity", [(10, 10_000), (10, 10)])
     def test_trainable_ids_are_the_buffers_holding_a_batch(self, batch_size, capacity, monkeypatch):
         """Each assign updates, in ascending id order, exactly the agents whose
         replay held a batch when the call began. A capacity equal to the batch
-        size keeps a full buffer at the batch size on every later add; one
-        below it never holds a batch, so nothing trains."""
+        size keeps a full buffer at the batch size on every later add."""
         from marlsched import marl
         from marlsched.experiment import ExperimentConfig, run_episode
 
+        monkeypatch.setattr(marl, "BATCH_SIZE", batch_size)
+        monkeypatch.setattr(marl, "REPLAY_CAPACITY", capacity)
         cfg = ExperimentConfig(master_seed=3, n_nodes=6, n_tasks=60, episodes=2, final_window=1,
-                               sim=SimConfig(max_time=120.0),
-                               hyper=Hyperparams(batch_size=batch_size, replay_capacity=capacity))
-        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
+                               sim=SimConfig(max_time=120.0))
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes)
         updated, ever_updated = [], set()
         apply_update = marl.apply_update
         monkeypatch.setattr(marl, "apply_update",
@@ -703,7 +691,7 @@ class TestDrlScheduler:
         sched.assign = checked_assign
         for episode in range(2):
             run_episode(sched, cfg, episode)
-        assert bool(ever_updated) == (capacity >= batch_size)
+        assert ever_updated
 
     def test_stored_rows_are_the_placements(self):
         """Each agent's replay holds its placements in order: the observation
@@ -713,7 +701,7 @@ class TestDrlScheduler:
 
         cfg = ExperimentConfig(master_seed=3, n_nodes=4, n_tasks=60, episodes=1, final_window=1,
                                sim=SimConfig(max_time=60.0))
-        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes, cfg.hyper)
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes)
         calls, placements = [], []     # observations per assign call; (call, agent)
         assign = sched.assign
 
@@ -741,12 +729,12 @@ class TestDrlScheduler:
                     assert np.array_equal(buf.rows.next_obs[k], calls[c + 1][i])
 
 
-def reference_select(state, pending, self_probs, s, h, explore_epsilon):
+def reference_select(state, pending, self_probs, s, explore_epsilon):
     """The per-node scoring loop ``select_assignments`` ran before it scored
     every node at once: (task, node) pairs, node None for a task left pending."""
     def score(p, util, mem_frac, task, cpu_capacity):
         compat = min(max(1.0 - abs(task.cpu / cpu_capacity - 0.5), 0.0), 1.0)
-        return (h.w_pi * p + W_LOAD * (1.0 - util) + W_MEM * (1.0 - mem_frac)
+        return (W_PI * p + W_LOAD * (1.0 - util) + W_MEM * (1.0 - mem_frac)
                 + W_COMPAT * compat)
 
     order = sorted(pending, key=lambda t: (-priority_score(t, state.time), t.id))
@@ -810,15 +798,15 @@ class TestSelectionOracle:
     def test_random_states(self, seed, eps):
         state, pending, probs = self.random_case(seed)
         s, s_ref = derive_stream(seed, "explore"), derive_stream(seed, "explore")
-        got = select_assignments(state, pending, lambda: probs, s, H, eps)
+        got = select_assignments(state, pending, lambda: probs, s, eps)
         assert [(d.task_id, d.node_id) for d in got] == placed(reference_select(
-            state, pending, probs, s_ref, H, eps))
+            state, pending, probs, s_ref, eps))
         assert s.random() == s_ref.random()     # the stream ends at the same position
 
     def test_equal_spec_idle_nodes_tie_to_lowest_id(self):
         state = init_episode(SimConfig(), [], [node(i) for i in range(5)])
         pending = [task(i, cpu=1.0) for i in range(3)]
-        got = select_assignments(state, pending, lambda: np.zeros(5), None, H, 0.0)
+        got = select_assignments(state, pending, lambda: np.zeros(5), None, 0.0)
         assert [d.node_id for d in got] == [0, 1, 2]
 
     def test_loaded_cluster_matches_reference(self):
@@ -835,6 +823,6 @@ class TestSelectionOracle:
         for eps in (0.0, 0.3):
             s, s_ref = derive_stream(3, "explore"), derive_stream(3, "explore")
             got = [(d.task_id, d.node_id)
-                   for d in select_assignments(state, pending, lambda: probs, s, H, eps)]
-            assert got == placed(reference_select(state, pending, probs, s_ref, H, eps))
+                   for d in select_assignments(state, pending, lambda: probs, s, eps)]
+            assert got == placed(reference_select(state, pending, probs, s_ref, eps))
             assert s.random() == s_ref.random()
