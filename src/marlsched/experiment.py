@@ -140,7 +140,8 @@ class EpisodeResult:
     episode: int
     scheduler: str
     metrics: EpisodeMetrics
-    mean_decision_ms: float
+    mean_decision_ms: float   # assign time per pending task
+    mean_train_ms: float      # learn time per step
 
 
 def build_episode_inputs(config: ExperimentConfig, episode: int):
@@ -158,7 +159,11 @@ def build_episode_inputs(config: ExperimentConfig, episode: int):
 
 def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
                 trace_file=None) -> EpisodeResult:
-    """One episode to completion or horizon; returns metrics and decision latency.
+    """One episode to completion or horizon; returns metrics, decision latency and
+    training time.
+
+    Each step calls ``learn`` and then ``assign``, timed apart, so a decision does
+    not wait on the step's training.
 
     With ``trace_file`` set, each step appends one JSON line: the clock after
     the step, the task ids completed, dropped and arrived in it, and every
@@ -169,14 +174,18 @@ def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
     stream = derive_stream(config.master_seed, f"sched-{scheduler.name}-{episode}")
     scheduler.reset(state, stream)
 
-    decision_seconds = 0.0
-    decision_count = 0
+    train_seconds = decision_seconds = 0.0
+    decision_count = steps = 0
     dt = config.sim.dt
     while True:
         pending = list(state.pending.values())
         t0 = time.perf_counter()
+        scheduler.learn(state)
+        t1 = time.perf_counter()
         decisions = scheduler.assign(state, pending)
-        decision_seconds += time.perf_counter() - t0
+        decision_seconds += time.perf_counter() - t1
+        train_seconds += t1 - t0
+        steps += 1
         # one decision per pending task, placed or left pending
         decision_count += len(pending)
         enqueue_assignment(state, decisions)
@@ -195,7 +204,7 @@ def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
     scheduler.end_episode(state)
     metrics = summarize_episode(state)
     latency_ms = 1000.0 * decision_seconds / decision_count if decision_count else 0.0
-    return EpisodeResult(episode, scheduler.name, metrics, latency_ms)
+    return EpisodeResult(episode, scheduler.name, metrics, latency_ms, 1000.0 * train_seconds / steps)
 
 
 def make_scheduler(name: str, config: ExperimentConfig) -> Scheduler:
@@ -286,7 +295,8 @@ COMPARISON_COLUMNS = (
 
 
 def build_comparison(config: ExperimentConfig, all_results: dict[str, list[EpisodeResult]]) -> dict[str, dict]:
-    """One row per scheduler in ``all_results`` order, keyed by ``COMPARISON_COLUMNS`` and ``mean_decision_ms``;
+    """One row per scheduler in ``all_results`` order, keyed by ``COMPARISON_COLUMNS``, ``mean_decision_ms``
+    and ``mean_train_ms``;
     a baseline's row also holds why its Welch test was ``skipped``, or its ``improvement`` as (mean, CI)."""
     k = config.final_window
     rows = {}
@@ -303,6 +313,7 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
             row["energy_kwh_mean"] / completed_mean if completed_mean else float("inf")
         )
         row["mean_decision_ms"] = sum(r.mean_decision_ms for r in results) / len(results)
+        row["mean_train_ms"] = sum(r.mean_train_ms for r in results) / len(results)
 
     if LEARNER in rows:
         baselines = {name: row for name, row in rows.items() if name != LEARNER}
@@ -346,7 +357,7 @@ def format_report(config: ExperimentConfig, rows: dict[str, dict]) -> str:
                  f"{config.sim.max_time:g} s, final {config.final_window} of {config.episodes} episodes")
     lines.append("")
     header = (f"{'Scheduler':<10} {'ATCT (s)':>12} {'Energy (kWh)':>14} {'SLA':>8} "
-              f"{'Thr/1000s':>10} {'Completed':>10} {'kWh/task':>10} {'ms/decision':>12}")
+              f"{'Thr/1000s':>10} {'Completed':>10} {'kWh/task':>10} {'ms/decision':>12} {'train ms/step':>14}")
     lines.append(header)
     lines.append("-" * len(header))
     for name, row in rows.items():
@@ -357,7 +368,7 @@ def format_report(config: ExperimentConfig, rows: dict[str, dict]) -> str:
             f"{row['energy_kwh_mean']:>8.3f}±{row['energy_kwh_std']:<5.3f} "
             f"{row['sla_rate_mean']:>8.3f} {row['throughput_mean']:>10.2f} "
             f"{row['completed_mean']:>10.1f} {row['energy_per_completed_kwh']:>10.5f} "
-            f"{row['mean_decision_ms']:>12.3f}"
+            f"{row['mean_decision_ms']:>12.3f} {row['mean_train_ms']:>14.3f}"
         )
     tested = [(name, row) for name, row in rows.items() if "p_atct_vs_drl" in row]
     skipped = [(name, row["skipped"]) for name, row in rows.items() if "skipped" in row]

@@ -368,8 +368,10 @@ class DrlScheduler(Scheduler):
     """Scheduler interface around the agent population.
 
     Parameters persist across episodes (learning); per-episode randomness
-    comes from the stream handed to ``reset``. With ``train`` off it only acts:
-    no exploration, update, replay row, TD error or step reward.
+    comes from the stream handed to ``reset``. ``learn`` runs the step's
+    gradient updates; ``assign`` only acts and stores the previous step's
+    replay rows. With ``train`` off it only acts: no exploration, update,
+    replay row, TD error or step reward.
     """
 
     name = "drl"
@@ -392,8 +394,12 @@ class DrlScheduler(Scheduler):
         self._placed_obs = np.zeros((0, OBS_DIM))
         self._reward = 0.0
 
-    def _train_eligible(self):
-        """One update per agent whose replay holds a batch, in id order."""
+    def learn(self, state):
+        """One update per agent whose replay holds a batch, in id order; none with
+        ``train`` off. It runs before the step's ``assign``, so its replay draws
+        come before the step's exploration draws."""
+        if not self.train:
+            return
         for i, buf in enumerate(self.buffers):
             # the replay's length is min(_added, capacity), and capacity >= batch size
             if buf._added >= BATCH_SIZE:
@@ -410,8 +416,6 @@ class DrlScheduler(Scheduler):
         self._placed, self._placed_obs = ids[:0], self._placed_obs[:0]
 
     def assign(self, state, pending):
-        if self.train:
-            self._train_eligible()
         if not pending and not len(self._placed):
             return []
         observations = build_observation(state)

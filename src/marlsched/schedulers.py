@@ -30,6 +30,10 @@ class Scheduler:
     def reset(self, state: SimState, stream: np.random.Generator | None = None) -> None:
         """Called at episode start; baselines are stateless across episodes."""
 
+    def learn(self, state: SimState) -> None:
+        """Called once per step, right before ``assign``, and timed apart from it;
+        only the learning scheduler trains here."""
+
     def assign(self, state: SimState, pending: Sequence[Task]) -> list[SchedulerDecision]:
         """Placements for this step, in the order the engine applies them; a
         pending task without one stays pending."""

@@ -307,6 +307,50 @@ class CrashingRandom(RandomScheduler):
         return super().assign(state, pending)
 
 
+class TimedRandom(RandomScheduler):
+    """Random placement whose ``learn`` and ``assign`` each advance a fake clock
+    by a fixed time, counting steps and pending tasks."""
+
+    LEARN_S, ASSIGN_S = 0.25, 0.125   # exact in binary, so the sums are exact
+
+    def __init__(self, clock):
+        super().__init__()
+        self.clock = clock
+        self.steps = self.pending = 0
+
+    def learn(self, state):
+        self.clock[0] += self.LEARN_S
+        self.steps += 1
+
+    def assign(self, state, pending):
+        self.clock[0] += self.ASSIGN_S
+        self.pending += len(pending)
+        return super().assign(state, pending)
+
+
+class TestRunEpisode:
+    def test_learn_time_is_training_not_decision(self, monkeypatch):
+        """``learn`` is timed apart from ``assign``: its time per step is
+        ``mean_train_ms``, and ``mean_decision_ms`` holds only ``assign`` time per
+        pending task. The comparison row and the report carry both."""
+        clock = [0.0]
+        monkeypatch.setattr(experiment.time, "perf_counter", lambda: clock[0])
+        config = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=1, final_window=1,
+                                  schedulers=("random",))
+        sched = TimedRandom(clock)
+        result = experiment.run_episode(sched, config, 0)
+        monkeypatch.undo()
+        assert sched.steps > 1 and sched.pending > 0
+        assert result.mean_train_ms == 1000.0 * TimedRandom.LEARN_S
+        assert result.mean_decision_ms == pytest.approx(
+            1000.0 * TimedRandom.ASSIGN_S * sched.steps / sched.pending)
+        row = build_comparison(config, {"random": [result]})["random"]
+        assert (row["mean_train_ms"], row["mean_decision_ms"]) == (
+            result.mean_train_ms, result.mean_decision_ms)
+        line = format_report(config, {"random": row}).splitlines()[4]
+        assert line.split()[-2:] == [f"{result.mean_decision_ms:.3f}", "250.000"]
+
+
 class TestRunScheduler:
     def test_crash_keeps_finished_episodes(self, tmp_path, monkeypatch):
         def config(out):
@@ -575,7 +619,7 @@ class TestCliCompare:
             "sim.max_time 10000 s, final 2 of 3 episodes")
         for name in ("random", "wrr", "minmin", "drl"):
             assert name in report
-        assert "Welch" in report and "ms/decision" in report
+        assert "Welch" in report and "ms/decision" in report and "train ms/step" in report
 
     def test_comparison_rows(self, compare_dir):
         rows = read_episode_csv(compare_dir / "comparison.csv")
@@ -639,7 +683,7 @@ def fake_results(name, atcts):
     """Episode results whose only varying metric is the given ATCT sequence."""
     return [EpisodeResult(ep, name, EpisodeMetrics(
         atct=atct, energy_kwh=1.0, sla_rate=1.0, throughput=1.0, completed=int(atct is not None),
-        mean_step_util_variance=0.0, objective_j=0.0, makespan=1.0), 0.0)
+        mean_step_util_variance=0.0, objective_j=0.0, makespan=1.0), 0.0, 0.0)
         for ep, atct in enumerate(atcts)]
 
 

@@ -10,8 +10,11 @@ import pytest
 
 from marlsched.cluster import NodeSpec
 from marlsched.marl import (
+    BATCH_SIZE,
+    GRAD_CLIP_NORM,
     HIDDEN,
     LEARNING_RATE,
+    LR_DECAY,
     W_COMPAT,
     W_LOAD,
     W_MEM,
@@ -530,6 +533,32 @@ class TestApplyUpdate:
                 assert np.array_equal(got[i], getattr(alone, f.name)[0]), f.name
                 assert not np.array_equal(got[i], was[i]), f.name
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_learns_a_contextual_bandit(self, seed):
+        """The update learns, not only descends the right gradient: one agent at the
+        module constants (``HIDDEN``, ``LEARNING_RATE``, ``LR_DECAY``,
+        ``GRAD_CLIP_NORM``) with ``obs_dim`` 50 and 3 actions faces 2 fixed contexts,
+        drawn uniform in [0, 1), whose best actions are 0 and 1. Each batch holds 16
+        rows of each context with actions sampled on-policy, reward 100 for the best
+        action and 0 otherwise, gamma 0 and ``alive`` 0. After 2 000 updates, at each
+        of the seeds 0 and 1, pi(best) >= 0.9 in both contexts."""
+        s = derive_stream(seed, "bandit")
+        agent = init_agents([derive_stream(seed, "bandit-agent")], 50, HIDDEN, 3)
+        contexts, best = s.random((2, 50)), np.array([0, 1])
+        which = np.arange(32) % 2
+        obs, zeros = contexts[which], np.zeros(32)
+
+        def policies():
+            return np.stack([forward(agent, c[None])[0][0] for c in contexts])
+
+        for _ in range(2000):
+            cum = np.cumsum(policies()[which], axis=1)
+            actions = np.minimum((s.random(32)[:, None] >= cum).sum(axis=1), 2)
+            rewards = np.where(actions == best[which], 100.0, 0.0)
+            batch = Experience(obs, np.zeros_like(obs), actions, rewards, zeros)
+            apply_update(agent, 0, batch, 0.0, GRAD_CLIP_NORM, LR_DECAY)
+        assert policies()[[0, 1], best].min() >= 0.9
+
 
 class TestExplorationDecay:
     def test_one_step(self):
@@ -663,9 +692,10 @@ class TestDrlScheduler:
 
     @pytest.mark.parametrize("batch_size, capacity", [(10, 10_000), (10, 10)])
     def test_trainable_ids_are_the_buffers_holding_a_batch(self, batch_size, capacity, monkeypatch):
-        """Each assign updates, in ascending id order, exactly the agents whose
-        replay held a batch when the call began. A capacity equal to the batch
-        size keeps a full buffer at the batch size on every later add."""
+        """Each learn updates, in ascending id order, exactly the agents whose
+        replay held a batch when the call began, and assign updates none. A
+        capacity equal to the batch size keeps a full buffer at the batch size
+        on every later add."""
         from marlsched import marl
         from marlsched.experiment import ExperimentConfig, run_episode
 
@@ -678,20 +708,61 @@ class TestDrlScheduler:
         apply_update = marl.apply_update
         monkeypatch.setattr(marl, "apply_update",
                             lambda agents, i, *args: (updated.append(i), apply_update(agents, i, *args)))
-        assign = sched.assign
+        learn, assign = sched.learn, sched.assign
 
-        def checked_assign(state, pending):
+        def checked_learn(state):
             expected = [i for i, b in enumerate(sched.buffers) if len(b) >= batch_size]
             updated.clear()
-            decisions = assign(state, pending)
+            learn(state)
             assert updated == expected
             ever_updated.update(updated)
+
+        def checked_assign(state, pending):
+            updated.clear()
+            decisions = assign(state, pending)
+            assert updated == []
             return decisions
 
-        sched.assign = checked_assign
+        sched.learn, sched.assign = checked_learn, checked_assign
         for episode in range(2):
             run_episode(sched, cfg, episode)
         assert ever_updated
+
+    def test_learn_runs_once_right_before_each_assign(self):
+        """``run_episode`` calls ``reset``, then per step ``learn``, ``assign`` and
+        ``after_advance``, then ``end_episode``: ``learn`` runs once per step,
+        directly before ``assign``, and never after the step that ends the episode,
+        so replay draws keep their place in the stream before the step's
+        exploration draws."""
+        from marlsched.experiment import ExperimentConfig, run_episode
+
+        cfg = ExperimentConfig(master_seed=3, n_nodes=4, n_tasks=30, episodes=1, final_window=1,
+                               sim=SimConfig(max_time=120.0))
+        sched = DrlScheduler(cfg.master_seed, cfg.n_nodes)
+        calls = []
+        for hook in ("reset", "learn", "assign", "after_advance", "end_episode"):
+            method = getattr(sched, hook)
+            setattr(sched, hook, lambda *args, hook=hook, method=method: (calls.append(hook), method(*args))[1])
+        run_episode(sched, cfg, 0)
+        steps = calls.count("assign")
+        assert steps > 1
+        assert calls == ["reset", *["learn", "assign", "after_advance"] * steps, "end_episode"]
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_learn_without_train_changes_nothing(self, train):
+        """With ``train`` off, ``learn`` changes no parameter and draws nothing,
+        though a replay holds a batch; with it on, the same call updates."""
+        sched = DrlScheduler(5, n_nodes=3, train=train)
+        stream = derive_stream(5, "learn-without-train")
+        sched.reset(None, stream)
+        for k in range(BATCH_SIZE):
+            sched.buffers[1].add(Experience(np.full(OBS_DIM, 0.5), np.ones(OBS_DIM), 1, 10.0 * k, 1.0), 1.0)
+        before, at_reset = copy_params(sched.agents), stream.bit_generator.state
+        sched.learn(None)
+        params_kept = all(np.array_equal(getattr(sched.agents, f.name), getattr(before, f.name))
+                          for f in fields(AgentParams))
+        nothing_drawn = stream.bit_generator.state == at_reset
+        assert params_kept == nothing_drawn == (not train)
 
     def test_stored_rows_are_the_placements(self):
         """Each agent's replay holds its placements in order: the observation
