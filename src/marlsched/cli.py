@@ -24,7 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nodes", type=int)
         p.add_argument("--tasks", type=int)
         p.add_argument("--out", type=str)
-        p.add_argument("--trace", action="store_true")
 
     common(sub.add_parser("run", help="run episodes for one scheduler"))
     common(sub.add_parser("compare", help="run all schedulers and build the comparison report"))
@@ -43,8 +42,6 @@ def config_from_args(args) -> ExperimentConfig:
                        (args.out, "output_dir")):
         if value is not None:
             overrides[key] = value
-    if args.trace:
-        overrides["trace"] = True
     if args.scheduler:
         overrides["schedulers"] = (args.scheduler,)
     return replace(config, **overrides)
@@ -56,6 +53,7 @@ def main(argv=None) -> int:
         return plot(Path(args.results_dir))
     try:
         config = config_from_args(args)
+        Path(config.output_dir).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

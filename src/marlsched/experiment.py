@@ -68,7 +68,6 @@ class ExperimentConfig:
     arrival_rate: float = DEFAULT_ARRIVAL_RATE
     sim: SimConfig = field(default_factory=SimConfig)
     output_dir: str = "results"
-    trace: bool = False
 
     def __post_init__(self):
         if not self.schedulers:
@@ -125,14 +124,14 @@ class ExperimentConfig:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation: an int fits float, a bool only
-    bool, a list a tuple of its element type; null, NaN and ±Infinity fit nothing."""
+    """Whether a JSON value fits a field annotation: an int fits float, a list a tuple
+    of its element type; a bool, null, NaN and ±Infinity fit nothing."""
     if get_origin(hint) is tuple:
         return isinstance(value, list) and all(_fits(v, get_args(hint)[0]) for v in value)
     if isinstance(value, float) and not math.isfinite(value):
         return False
     types = (int, float) if hint is float else hint
-    return isinstance(value, types) and (hint is bool or not isinstance(value, bool))
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 @dataclass
@@ -157,17 +156,12 @@ def build_episode_inputs(config: ExperimentConfig, episode: int):
     return tasks, cluster
 
 
-def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
-                trace_file=None) -> EpisodeResult:
+def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int) -> EpisodeResult:
     """One episode to completion or horizon; returns metrics, decision latency and
     training time.
 
     Each step calls ``learn`` and then ``assign``, timed apart, so a decision does
     not wait on the step's training.
-
-    With ``trace_file`` set, each step appends one JSON line: the clock after
-    the step, the task ids completed, dropped and arrived in it, and every
-    node's utilization.
     """
     tasks, cluster = build_episode_inputs(config, episode)
     state = init_episode(config.sim, tasks, cluster)
@@ -190,14 +184,6 @@ def run_episode(scheduler: Scheduler, config: ExperimentConfig, episode: int,
         decision_count += len(pending)
         enqueue_assignment(state, decisions)
         report = advance(state, dt)
-        if trace_file is not None:
-            trace_file.write(json.dumps({
-                "time": state.time,
-                "completed": [c.task_id for c in report.completions],
-                "dropped": report.dropped,
-                "arrived": report.arrived,
-                "util": [round(u, 6) for u in state.utilization().tolist()],
-            }) + "\n")
         scheduler.after_advance(state, report)
         if state.time >= config.sim.max_time or state.all_resolved():
             break
@@ -234,14 +220,9 @@ def run_scheduler(config: ExperimentConfig, name: str) -> list[EpisodeResult]:
         json.dumps(replace(config, schedulers=names).to_flat(), indent=2) + "\n"))
     scheduler = make_scheduler(name, config)
     results = []
-    trace_file = open(out / f"{name}_trace.jsonl", "w") if config.trace else None
-    try:
-        for ep in range(config.episodes):
-            results.append(run_episode(scheduler, config, ep, trace_file))
-            write_episode_csv(out / f"{name}.csv", results)
-    finally:
-        if trace_file:
-            trace_file.close()
+    for ep in range(config.episodes):
+        results.append(run_episode(scheduler, config, ep))
+        write_episode_csv(out / f"{name}.csv", results)
     if name == LEARNER:
         write_replacing(out / f"{LEARNER}_checkpoint.npz", lambda f: save_checkpoint(
             f, scheduler.agents, config.episodes - 1), "wb")

@@ -40,19 +40,20 @@ from marlsched.simenv import SimConfig
 # Every settable config key, as from_flat names it. Adding a setting is an edit here.
 CONFIG_KEYS = [
     "master_seed", "n_nodes", "n_tasks", "episodes", "final_window", "schedulers",
-    "arrival_rate", "output_dir", "trace",
+    "arrival_rate", "output_dir",
     "sim.max_time",
 ]
 
 # A valid value other than the default for each settable key, set alone.
 NON_DEFAULT = {
     "master_seed": 7, "n_nodes": 6, "n_tasks": 20, "episodes": 12, "final_window": 2,
-    "schedulers": ["minmin", "drl"], "arrival_rate": 2.5, "output_dir": "elsewhere", "trace": True,
+    "schedulers": ["minmin", "drl"], "arrival_rate": 2.5, "output_dir": "elsewhere",
     "sim.max_time": 250.0,
 }
 
-# Former settings that are constants now: the workload's priority mix and the step.
-REMOVED_KEYS = ["priority_mix", "sim.dt"]
+# Former settings: the workload's priority mix and the step, now constants, and the
+# step trace, now gone.
+REMOVED_KEYS = ["priority_mix", "sim.dt", "trace"]
 
 # Former learner settings that are constants in ``marl`` now.
 REMOVED_HYPER_KEYS = [
@@ -96,7 +97,7 @@ class TestExperimentConfig:
             + [f"sim.{f.name}" for f in fields(SimConfig)]
         )
         assert sorted(ExperimentConfig().to_flat()) == sorted(CONFIG_KEYS)
-        assert len(CONFIG_KEYS) == 10
+        assert len(CONFIG_KEYS) == 9
 
     def test_from_flat_with_dotted_keys(self):
         cfg = ExperimentConfig.from_flat({
@@ -144,7 +145,6 @@ class TestExperimentConfig:
         ({"arrival_rate": None}, "config key arrival_rate must be float, not null"),
         ({"arrival_rate": False}, "config key arrival_rate must be float, not false"),
         ({"sim.max_time": None}, "config key sim.max_time must be float, not null"),
-        ({"trace": 1}, "config key trace must be bool, not 1"),
         ({"output_dir": 5}, "config key output_dir must be str, not 5"),
         ({"arrival_rate": float("-inf")}, "config key arrival_rate must be float, not -Infinity"),
         ({"sim.max_time": float("-inf")}, "config key sim.max_time must be float, not -Infinity"),
@@ -160,11 +160,15 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"^config key {re.escape(key)} must be .*, not null$"):
             ExperimentConfig.from_flat({key: None})
 
+    @pytest.mark.parametrize("key", CONFIG_KEYS)
+    def test_boolean_fits_no_key(self, key):
+        with pytest.raises(ValueError, match=f"^config key {re.escape(key)} must be .*, not true$"):
+            ExperimentConfig.from_flat({key: True})
+
     @pytest.mark.parametrize("key, value, expected", [
         ("sim.max_time", 2, 2),
         ("arrival_rate", 3, 3),
         ("schedulers", ["minmin"], ("minmin",)),
-        ("trace", True, True),
     ])
     def test_value_of_annotated_type_accepted(self, key, value, expected):
         assert operator.attrgetter(key)(ExperimentConfig.from_flat({key: value})) == expected
@@ -437,25 +441,6 @@ class TestRunScheduler:
         assert (tmp_path / artifact).read_bytes() == previous
         assert not list(tmp_path.glob("*.tmp"))
 
-    @pytest.mark.parametrize("name", ["minmin", "drl"])
-    def test_trace_records_match_episode_csv(self, tmp_path, name):
-        cfg = ExperimentConfig(n_nodes=6, n_tasks=20, episodes=2, final_window=1,
-                               output_dir=str(tmp_path), trace=True)
-        run_scheduler(cfg, name)
-        records = [json.loads(line)
-                   for line in (tmp_path / f"{name}_trace.jsonl").read_text().splitlines()]
-        episodes = []
-        for record in records:
-            assert set(record) == {"time", "completed", "dropped", "arrived", "util"}
-            assert len(record["util"]) == cfg.n_nodes
-            if record["time"] == cfg.sim.dt:  # first step of an episode
-                episodes.append([])
-            episodes[-1].append(record)
-        rows = read_episode_csv(tmp_path / f"{name}.csv")
-        assert len(episodes) == len(rows) == cfg.episodes
-        for steps, row in zip(episodes, rows):
-            assert sum(len(r["completed"]) for r in steps) == int(row["completed"])
-
 
 class TestCliRun:
     def test_run_deterministic(self, tmp_path):
@@ -586,12 +571,25 @@ class TestCliRun:
         assert proc.returncode == 2
         assert proc.stderr == "error: n_nodes must be >= 1, got 0\n"
 
-    def test_trace_file_emitted(self, tmp_path):
-        rc = main(["run", "--scheduler", "minmin", "--episodes", "1", "--seed", "1",
-                   "--nodes", "6", "--tasks", "15", "--out", str(tmp_path), "--trace"])
-        assert rc == 0
-        trace = (tmp_path / "minmin_trace.jsonl").read_text().splitlines()
-        assert trace and all("time" in json.loads(line) for line in trace)
+    @pytest.mark.parametrize("command, out", [("run", "F"), ("compare", "F/sub")])
+    def test_out_that_cannot_be_a_directory_exits_2(self, tmp_path, capsys, monkeypatch, command, out):
+        """``--out`` at an existing file, or under one, used to end in a traceback."""
+        (tmp_path / "F").write_text("a file\n")
+        monkeypatch.setattr(experiment, "run_episode", lambda *args: pytest.fail("an episode ran"))
+        rc = main([command, "--episodes", "1", "--nodes", "3", "--tasks", "5",
+                   "--out", str(tmp_path / out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / out) in err and err.count("\n") == 1
+        assert (tmp_path / "F").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_trace_flag_rejected(self, tmp_path, capsys, command):
+        """The step trace is gone, and its flag with it."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--trace", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
