@@ -49,7 +49,9 @@ METRICS = (
     Metric("objective_j", "objective_j", ".8f"),
 )
 COMPARED = tuple(m for m in METRICS if m.stem)
-EPISODE_CSV_COLUMNS = ["episode", "scheduler", *(m.column for m in METRICS)]
+# an episode CSV's columns and cell formats
+EPISODE_COLUMNS = (("episode", "d"), ("scheduler", "s"), *((m.column, m.spec) for m in METRICS))
+EPISODE_CSV_COLUMNS = [column for column, _ in EPISODE_COLUMNS]
 
 
 def cell(value, spec: str) -> str:
@@ -243,13 +245,19 @@ def write_replacing(path, write, mode="w") -> None:
         raise
 
 
-def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
+def write_csv(path, columns, rows) -> None:
+    """Write dict ``rows`` under ``columns``, (column, format) pairs, each cell through ``cell``."""
     def write(f):
         w = csv.writer(f)
-        w.writerow(EPISODE_CSV_COLUMNS)
-        for r in results:
-            w.writerow([r.episode, r.scheduler, *(cell(getattr(r.metrics, m.name), m.spec) for m in METRICS)])
+        w.writerow([column for column, _ in columns])
+        w.writerows([cell(row.get(column), spec) for column, spec in columns] for row in rows)
     write_replacing(path, write)
+
+
+def write_episode_csv(path, results: Sequence[EpisodeResult]) -> None:
+    write_csv(path, EPISODE_COLUMNS, ({"episode": r.episode, "scheduler": r.scheduler,
+                                       **{m.column: getattr(r.metrics, m.name) for m in METRICS}}
+                                      for r in results))
 
 
 def read_episode_csv(path) -> list[dict]:
@@ -262,7 +270,7 @@ def compare(config: ExperimentConfig) -> dict[str, dict]:
     all_results = {name: run_scheduler(config, name) for name in config.schedulers}
     rows = build_comparison(config, all_results)
     out = Path(config.output_dir)
-    write_comparison_csv(out / "comparison.csv", rows)
+    write_csv(out / "comparison.csv", COMPARISON_COLUMNS, rows.values())
     write_replacing(out / "report.txt", lambda f: f.write(format_report(config, rows)))
     return rows
 
@@ -273,6 +281,9 @@ COMPARISON_COLUMNS = (
     ("completed_mean", ".2f"), ("energy_per_completed_kwh", ".6f"),
     ("t_atct_vs_drl", ".6f"), ("p_atct_vs_drl", ".6g"), ("p_bonferroni", ".6g"),
 )
+# report.txt's columns after each compared metric's mean±std: header, row key and cell format
+REPORT_FACTS = (("Completed", "completed_mean", ".1f"), ("kWh/task", "energy_per_completed_kwh", ".5f"),
+                ("ms/decision", "mean_decision_ms", ".3f"), ("train ms/step", "mean_train_ms", ".3f"))
 
 
 def build_comparison(config: ExperimentConfig, all_results: dict[str, list[EpisodeResult]]) -> dict[str, dict]:
@@ -322,35 +333,20 @@ def build_comparison(config: ExperimentConfig, all_results: dict[str, list[Episo
     return rows
 
 
-def write_comparison_csv(path, rows: dict[str, dict]) -> None:
-    def write(f):
-        w = csv.writer(f)
-        w.writerow([column for column, _ in COMPARISON_COLUMNS])
-        for row in rows.values():
-            w.writerow([cell(row.get(column), spec) for column, spec in COMPARISON_COLUMNS])
-    write_replacing(path, write)
-
-
 def format_report(config: ExperimentConfig, rows: dict[str, dict]) -> str:
-    lines = []
-    lines.append(f"Scheduler comparison: seed {config.master_seed}, {config.n_nodes} nodes, "
-                 f"{config.n_tasks} tasks, arrival rate {config.arrival_rate:g}/s, sim.max_time "
-                 f"{config.sim.max_time:g} s, final {config.final_window} of {config.episodes} episodes")
-    lines.append("")
-    header = (f"{'Scheduler':<10} {'ATCT (s)':>12} {'Energy (kWh)':>14} {'SLA':>8} "
-              f"{'Thr/1000s':>10} {'Completed':>10} {'kWh/task':>10} {'ms/decision':>12} {'train ms/step':>14}")
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [f"Scheduler comparison: seed {config.master_seed}, {config.n_nodes} nodes, "
+             f"{config.n_tasks} tasks, arrival rate {config.arrival_rate:g}/s, sim.max_time "
+             f"{config.sim.max_time:g} s, final {config.final_window} of {config.episodes} episodes", ""]
+    # a compared metric is mean±std at three significant digits, as on the bars, or n/a without a mean
+    table = [["Scheduler", *(m.label for m in COMPARED), *(header for header, _, _ in REPORT_FACTS)]]
     for name, row in rows.items():
-        atct = ("n/a" if row["atct_s_mean"] is None
-                else f"{row['atct_s_mean']:>7.2f}±{row['atct_s_std']:<4.2f}")
-        lines.append(
-            f"{name:<10} {atct:>12} "
-            f"{row['energy_kwh_mean']:>8.3f}±{row['energy_kwh_std']:<5.3f} "
-            f"{row['sla_rate_mean']:>8.3f} {row['throughput_mean']:>10.2f} "
-            f"{row['completed_mean']:>10.1f} {row['energy_per_completed_kwh']:>10.5f} "
-            f"{row['mean_decision_ms']:>12.3f} {row['mean_train_ms']:>14.3f}"
-        )
+        table.append([name, *("n/a" if row[f"{m.stem}_mean"] is None
+                              else f"{row[f'{m.stem}_mean']:.3g}±{row[f'{m.stem}_std']:.3g}" for m in COMPARED),
+                      *(format(row[key], spec) for _, key, spec in REPORT_FACTS)])
+    widths = [max(map(len, column)) for column in zip(*table)]
+    header, *body = ("  ".join([cells[0].ljust(widths[0]), *map(str.rjust, cells[1:], widths[1:])])
+                     for cells in table)
+    lines += [header, "-" * len(header), *body]
     tested = [(name, row) for name, row in rows.items() if "p_atct_vs_drl" in row]
     skipped = [(name, row["skipped"]) for name, row in rows.items() if "skipped" in row]
     if tested or skipped:

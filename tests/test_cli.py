@@ -28,12 +28,12 @@ from marlsched.experiment import (
     make_scheduler,
     read_episode_csv,
     run_scheduler,
-    write_comparison_csv,
+    write_csv,
     write_episode_csv,
 )
 from marlsched.marl import DrlScheduler
 from marlsched.metrics import EpisodeMetrics
-from marlsched.plots import COLORS, PlotInputError, emit_all, improvement_curve_svg
+from marlsched.plots import PlotInputError, emit_all, improvement_curve_svg
 from marlsched.schedulers import RandomScheduler
 from marlsched.simenv import SimConfig
 
@@ -249,7 +249,7 @@ class TestEpisodeCsv:
         run_scheduler(config, "random")
         written = (tmp_path / "random.csv").read_text().splitlines()[0].split(",")
         read = plots._load_episodes(tmp_path, "random")[0].keys()
-        assert read == {"episode", *(column for column, _ in plots.PANELS)}
+        assert read == {"episode", *(m.column for m in experiment.COMPARED)}
         assert read <= set(written)
 
 
@@ -270,7 +270,8 @@ class TestSchedulerTable:
 
     @pytest.mark.parametrize("name", ALL_SCHEDULERS)
     def test_every_scheduler_has_a_colour(self, name):
-        assert name in COLORS
+        """Its own: no other row of the table gets the same colour."""
+        assert plots._colour(name) not in {plots._colour(n) for n in ALL_SCHEDULERS if n != name}
 
 
 class FullDisk:
@@ -726,7 +727,7 @@ class TestBuildComparison:
         skipped = report.index("  drl vs random   skipped: no task completed")
         assert tested and tested.start() < skipped
         assert re.findall(r"^  over (\S+)", report, re.MULTILINE) == ["wrr"]
-        write_comparison_csv(tmp_path / "comparison.csv", rows)
+        write_csv(tmp_path / "comparison.csv", experiment.COMPARISON_COLUMNS, rows.values())
         csv_rows = {r["scheduler"]: r for r in read_episode_csv(tmp_path / "comparison.csv")}
         assert csv_rows["random"]["t_atct_vs_drl"] == csv_rows["random"]["p_atct_vs_drl"] == ""
         assert csv_rows["random"]["p_bonferroni"] == ""
@@ -783,6 +784,17 @@ class TestCliPlot:
         assert (partial / "learning_curve.svg").exists()
         assert not (partial / "improvement.svg").exists()
 
+    def test_missing_listed_csv_is_an_error(self, compare_dir, tmp_path, capsys):
+        """``config.json`` lists wrr and drl, and only ``wrr.csv`` is there: the curves
+        and bars draw wrr, one error line names ``drl.csv``, and ``plot`` exits 1."""
+        (tmp_path / "wrr.csv").write_bytes((compare_dir / "wrr.csv").read_bytes())
+        (tmp_path / "config.json").write_text(json.dumps({"schedulers": ["wrr", "drl"]}))
+        assert main(["plot", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error (drl.csv): missing results file: {tmp_path / 'drl.csv'}\n"
+        curves = (tmp_path / "learning_curve.svg").read_text()
+        assert curves.count("<polyline ") == 1 and ">wrr</text>" in curves
+        assert ">drl</text>" not in (tmp_path / "comparison.svg").read_text()
+
     @pytest.mark.parametrize("flag", ["--seed 5", "--nodes 3", "--tasks 2", "--trace", "--out x",
                                       "--config x", "--scheduler drl", "--episodes 2"])
     def test_run_flags_rejected(self, tmp_path, capsys, flag):
@@ -835,6 +847,52 @@ class TestCliPlot:
         outcomes = emit_all(tmp_path, ("random", "drl"), 2)
         assert set(outcomes) == {"learning_curve.svg", "comparison.svg", "improvement.svg"}
         assert all(v is not None for v in outcomes.values())
+
+
+class FifthBaseline(RandomScheduler):
+    """A baseline under a new name, for the one-row probe."""
+
+    name = "fifth"
+
+
+def test_one_row_reaches_every_output(tmp_path, monkeypatch):
+    """One row in each table, as monkeypatches: objective J becomes a fifth compared
+    metric (its row gains a stem and a label), and a fifth scheduler is a baseline
+    row. The patches also re-derive the names that import time computes from the
+    two tables. ``compare`` and ``plot`` then carry both rows into every output:
+    the metric's columns reach ``comparison.csv`` and its label ``report.txt``'s
+    header, the five bar panels stay inside their canvas, and the curves draw five
+    schedulers in five colours."""
+    metrics = tuple(replace(m, stem="objective_j", label="Objective J") if m.name == "objective_j" else m
+                    for m in experiment.METRICS)
+    compared = tuple(m for m in metrics if m.stem)
+    columns = list(experiment.COMPARISON_COLUMNS)
+    at = columns.index(("completed_mean", ".2f"))
+    columns[at:at] = [("objective_j_mean", ".8f"), ("objective_j_std", ".8f")]
+    monkeypatch.setattr(experiment, "METRICS", metrics)
+    monkeypatch.setattr(experiment, "COMPARISON_COLUMNS", tuple(columns))
+    for module in (experiment, plots):
+        monkeypatch.setattr(module, "COMPARED", compared)
+    monkeypatch.setitem(experiment.BASELINES, FifthBaseline.name, FifthBaseline)
+    monkeypatch.setitem(experiment.SCHEDULERS, FifthBaseline.name, lambda config: FifthBaseline())
+    for module in (experiment, plots):
+        monkeypatch.setattr(module, "ALL_SCHEDULERS", tuple(experiment.SCHEDULERS))
+    config = ExperimentConfig(n_nodes=4, n_tasks=10, episodes=2, final_window=2,
+                              schedulers=tuple(experiment.SCHEDULERS), output_dir=str(tmp_path))
+    compare(config)
+    assert main(["plot", str(tmp_path)]) == 0
+
+    header = (tmp_path / "comparison.csv").read_text().splitlines()[0].split(",")
+    assert {"objective_j_mean", "objective_j_std"} <= set(header)
+    assert "Objective J" in (tmp_path / "report.txt").read_text().splitlines()[2]
+    bars = (tmp_path / "comparison.svg").read_text()
+    width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', bars).groups())
+    rects = re.findall(r'<rect x="(\S+)" y="(\S+)" width="(\S+)" height="(\S+)"', bars)
+    assert len(rects) == 5 * 5
+    for x, y, w, h in (map(float, rect) for rect in rects):
+        assert 0 <= x and x + w <= width and 0 <= y and y + h <= height
+    curves = (tmp_path / "learning_curve.svg").read_text()
+    assert len(set(re.findall(r'<polyline [^>]*stroke="([^"]+)"', curves))) == 5
 
 
 def test_only_experiment_writes_files():
